@@ -37,7 +37,7 @@ from .engine import (
 )
 from .exprparse import ParseError, parse_expression, parse_scalar
 from .render import element_json, element_str
-from .scalars import ONE, U, UINV, W, ZERO, PoleError, QOmega, Scalar, scalar_arith, scalar_eval
+from .scalars import ONE, U, UINV, W, ZERO, PoleError, QOmega, Scalar
 from .structure import koszul_sign, spin_group
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "monomial_element",
     "parse_expression",
     "parse_scalar",
-    "scalar_arith",
-    "scalar_eval",
     "sdaha",
     "sdaha_localized",
     "specialize_u",

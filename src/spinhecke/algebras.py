@@ -64,6 +64,7 @@ ALGEBRA_NAMES = (
     "TrigDaHCa",
     "TrigSDaHa",
 )
+_FAMILIES = frozenset(name.lower() for name in ALGEBRA_NAMES)
 
 _MINUS = Scalar.from_rational(-1)
 
@@ -267,14 +268,6 @@ def _relations_dahca(sig) -> list:
     return _relations_clifford_sym(sig) + _even_poly_rels(sig, "x") + _even_poly_rels(sig, "y") + _xy_cross_rels(sig)
 
 
-def _relations_dahca_localized(sig) -> list:
-    rels = _relations_dahca(sig)
-    for i in range(1, sig.n + 1):
-        rels.append((f"unit[y{i}]", [_t(("y", i), ("yinv", i))], [_t()]))
-        rels.append((f"unit[yinv{i}]", [_t(("yinv", i), ("y", i))], [_t()]))
-    return rels
-
-
 def _relations_sdaha(sig) -> list:
     n, u = sig.n, sig.u_scalar
     rels = _relations_spin_sym(sig)
@@ -320,8 +313,9 @@ def _relations_sdaha(sig) -> list:
     return rels
 
 
-def _relations_sdaha_localized(sig) -> list:
-    rels = _relations_sdaha(sig)
+def _unit_y_rels(sig) -> list:
+    """y_i y_i^-1 = y_i^-1 y_i = 1, added for the localized algebras."""
+    rels = []
     for i in range(1, sig.n + 1):
         rels.append((f"unit[y{i}]", [_t(("y", i), ("yinv", i))], [_t()]))
         rels.append((f"unit[yinv{i}]", [_t(("yinv", i), ("y", i))], [_t()]))
@@ -477,10 +471,10 @@ _RELATION_BUILDERS = {
     "affinehc": _relations_affine_hc,
     "spinaffine": _relations_spin_affine,
     "dahca": _relations_dahca,
-    "dahca_loc": _relations_dahca_localized,
+    "dahca_loc": lambda sig: _relations_dahca(sig) + _unit_y_rels(sig),
     "dahca_yfirst": _relations_dahca,
     "sdaha": _relations_sdaha,
-    "sdaha_loc": _relations_sdaha_localized,
+    "sdaha_loc": lambda sig: _relations_sdaha(sig) + _unit_y_rels(sig),
     "sdaha_yfirst": _relations_sdaha,
     "trigdahca": _relations_trig_dahca,
     "trigsdaha": _relations_trig_sdaha,
@@ -579,22 +573,9 @@ def sdaha_yfirst(n: int, u: QOmega | None = None) -> AlgebraSignature:
     return _make("sdaha_yfirst", n, u)
 
 
-_ALIASES = {
-    "sym": "sym",
-    "cliffordsym": "cliffordsym",
-    "spinsym": "spinsym",
-    "affinehc": "affinehc",
-    "spinaffine": "spinaffine",
-    "dahca": "dahca",
-    "sdaha": "sdaha",
-    "trigdahca": "trigdahca",
-    "trigsdaha": "trigsdaha",
-}
-
-
 def by_name(name: str, n: int, u: QOmega | None = None) -> AlgebraSignature:
-    family = _ALIASES.get(name.lower().replace("-", "").replace("_", ""))
-    if family is None:
+    family = name.lower().replace("-", "").replace("_", "")
+    if family not in _FAMILIES:
         raise ValueError(f"unknown algebra {name!r}; choose from {', '.join(ALGEBRA_NAMES)}")
     if family in ("sym", "cliffordsym", "spinsym", "affinehc", "spinaffine"):
         return _make(family, n, None)

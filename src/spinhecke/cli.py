@@ -4,15 +4,13 @@ computations over the eight presented algebras.
 Every command emits either readable text or the versioned JSON report
 schema ``spinhecke-report/1``; repeated runs with identical inputs produce
 byte-identical output.  Exit codes: 0 all checks pass, 1 check failures,
-2 usage or parse errors.  The environment variable ``SPINHECKE_WORKERS``
-caps the relation-suite worker pool (default 1, serial).
+2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import algebras
@@ -20,7 +18,7 @@ from . import clifford_family as cf
 from . import dunkl as dk
 from . import morphisms as mo
 from . import spin_family as sf
-from .engine import AlgebraError, element_from_terms, verify_relations
+from .engine import AlgebraError, verify_relations
 from .exprparse import ParseError, parse_expression, parse_scalar
 from .render import element_json, element_str
 from .reports import Report
@@ -90,39 +88,9 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _relation_worker(payload):
-    family, n, u_text, ids = payload
-    u = parse_scalar(u_text).constant_value() if u_text is not None else None
-    sig = algebras._make(family, n, u)
-    wanted = set(ids)
-    report = Report("chunk")
-    for rel_id, lhs, rhs in sig.relations():
-        if rel_id not in wanted:
-            continue
-        diff = element_from_terms(sig, lhs) - element_from_terms(sig, rhs)
-        report.add(rel_id, diff.is_zero, None if diff.is_zero else element_str(diff))
-    return [(r.id, r.ok, r.witness) for r in report.results]
-
-
 def _cmd_verify_relations(args) -> int:
     sig = _algebra_from_args(args)
-    workers = int(os.environ.get("SPINHECKE_WORKERS", "1"))
-    if workers > 1:
-        ids = [rel_id for rel_id, _, _ in sig.relations()]
-        chunks = [ids[k::workers] for k in range(workers) if ids[k::workers]]
-        payloads = [(sig.family, sig.n, args.u, chunk) for chunk in chunks]
-        report = Report(f"relations[{sig.name}, n={sig.n}]")
-        try:
-            import multiprocessing as mp
-
-            with mp.get_context("fork").Pool(len(chunks)) as pool:
-                for rows in pool.map(_relation_worker, payloads):
-                    for rel_id, ok, witness in rows:
-                        report.add(rel_id, ok, witness)
-        except (ImportError, OSError):
-            report = verify_relations(sig)
-    else:
-        report = verify_relations(sig)
+    report = verify_relations(sig)
     return _finish_report(args, "verify-relations", sig.name, sig.n, report)
 
 
@@ -143,6 +111,8 @@ def _cmd_verify_morphisms(args) -> int:
 
 
 def _cmd_verify_modules(args) -> int:
+    if args.degree_bound < 0:
+        raise ValueError(f"--degree-bound must be non-negative, got {args.degree_bound}")
     family = args.algebra.lower()
     W = dk.regular_spin(args.n) if family == "sdaha" else dk.basic_spin(args.n)
     if args.module:
@@ -196,6 +166,10 @@ def _cmd_act(args) -> int:
         raise AlgebraError("dunkl-xi needs --module regular-spin")
     if args.op != "dunkl-xi" and W.spin:
         raise AlgebraError(f"{args.op} needs --module basic-spin")
+    if not 1 <= args.i <= args.n:
+        raise AlgebraError(f"--i {args.i} out of range 1..{args.n}")
+    if not 0 <= args.vector < W.dim():
+        raise AlgebraError(f"--vector {args.vector} out of range 0..{W.dim() - 1}")
     poly_elem = parse_expression(args.expr, algebras.by_name(name, args.n))
     terms = {}
     for (left, grp, cliff, right), coeff in poly_elem.terms.items():

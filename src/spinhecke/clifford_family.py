@@ -139,11 +139,12 @@ def center_example(sig, scaled: bool = True) -> Element:
 
 
 def trig_commutator(i: int, eta, sig) -> Element:
-    """Closed form of [epsv_i, e^eta], evaluated by exact telescoping."""
+    """Closed form of [epsv_i, e^eta] in the trigonometric DaHCa, or of
+    [zeta_i, e^eta] in the trigonometric sDaHa, by exact telescoping."""
     if not 1 <= i <= sig.n:
         raise AlgebraError(f"index {i} out of range 1..{sig.n}")
-    if sig.spin or not sig.left_laurent:
-        raise AlgebraError("trig_commutator lives in the trigonometric DaHCa")
+    if not sig.left_laurent:
+        raise AlgebraError("trig_commutator lives in a trigonometric algebra")
     return element_from_terms(sig, alg.trig_comm_terms(sig, i, tuple(eta)))
 
 

@@ -14,7 +14,7 @@ from . import algebras as alg
 from . import structure as st
 from .engine import AlgebraError, generator_element, monomial_element
 from .reports import Report
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, add_term
 
 __all__ = [
     "FiniteModule",
@@ -29,9 +29,7 @@ __all__ = [
     "act_word",
     "verify_module",
     "engine_action",
-    "engine_action_x",
     "oracle_equivalence",
-    "oracle_equivalence_x",
 ]
 
 _MINUS = Scalar.from_rational(-1)
@@ -69,11 +67,11 @@ class FiniteModule:
         return terms
 
     def _apply(self, token, terms):
-        out = []
+        acc: dict = {}
         for c, idx in terms:
             for c2, idx2 in self.act_gen(token, idx):
-                out.append((c * c2, idx2))
-        return _merge(out)
+                add_term(acc, idx2, c * c2)
+        return [(c, i) for i, c in acc.items()]
 
     def act_tokens(self, tokens, idx: int):
         terms = [(ONE, idx)]
@@ -89,18 +87,6 @@ class FiniteModule:
             word = st.lehmer_word(b)
             return "*".join(f"t{m}" for m in word) if word else "1"
         return "*".join(f"c{i}" for i, bit in enumerate(b, start=1) if bit) or "1"
-
-
-def _merge(terms):
-    acc: dict = {}
-    for c, idx in terms:
-        prev = acc.get(idx)
-        val = c if prev is None else prev + c
-        if val:
-            acc[idx] = val
-        elif idx in acc:
-            del acc[idx]
-    return [(c, i) for i, c in acc.items()]
 
 
 def _basic_spin_action(mod: FiniteModule, token, idx: int):
@@ -161,12 +147,7 @@ class InducedVector:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            prev = out.get(k)
-            val = v if prev is None else prev + v
-            if val:
-                out[k] = val
-            elif k in out:
-                del out[k]
+            add_term(out, k, v)
         return InducedVector(self.module, self.side, out)
 
     def __sub__(self, other):
@@ -219,6 +200,15 @@ def _tele(p: int, q: int):
     return [(-1, (p + m, q - 1 - m)) for m in range(q - p)]
 
 
+def _tele_exps(exps: tuple, i: int, k: int):
+    """The monomials of (v_i^p v_k^q - v_i^q v_k^p)/(v_i - v_k), where p, q
+    are the exponents of v_i, v_k in ``exps``, as (sign, exponents) pairs."""
+    for sgn, (ei, ek) in _tele(exps[i - 1], exps[k - 1]):
+        new = list(exps)
+        new[i - 1], new[k - 1] = ei, ek
+        yield sgn, tuple(new)
+
+
 def divided_difference(poly: dict, i: int, k: int) -> dict:
     """(1 - s_{ki})(f) / (v_i - v_k), computed monomial-wise by telescoping.
 
@@ -229,28 +219,9 @@ def divided_difference(poly: dict, i: int, k: int) -> dict:
         raise AlgebraError("divided difference needs distinct indices")
     out: dict = {}
     for exps, coeff in poly.items():
-        p, q = exps[i - 1], exps[k - 1]
-        for sgn, (ei, ek) in _tele(p, q):
-            new = list(exps)
-            new[i - 1], new[k - 1] = ei, ek
-            key = tuple(new)
-            val = coeff if sgn > 0 else -coeff
-            prev = out.get(key)
-            val = val if prev is None else prev + val
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
+        for sgn, new in _tele_exps(exps, i, k):
+            add_term(out, new, coeff if sgn > 0 else -coeff)
     return out
-
-
-def _add_term(acc: dict, key, val: Scalar) -> None:
-    prev = acc.get(key)
-    val = val if prev is None else prev + val
-    if val:
-        acc[key] = val
-    elif key in acc:
-        del acc[key]
 
 
 def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
@@ -266,8 +237,7 @@ def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
         for k in range(1, n + 1):
             if k == i:
                 continue
-            p, q = exps[i - 1], exps[k - 1]
-            if p == q:
+            if exps[i - 1] == exps[k - 1]:
                 continue
             swapped = mod.act_perm(st.transposition(k, i, n), w)
             acted = list(swapped)
@@ -275,12 +245,10 @@ def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
                 for c3, w3 in mod.act_gen(("c", k), w2):
                     for c4, w4 in mod.act_gen(("c", i), w3):
                         acted.append((-(c2 * c3 * c4), w4))
-            for sgn, (ei, ek) in _tele(p, q):
-                new = list(exps)
-                new[i - 1], new[k - 1] = ei, ek
+            for sgn, new in _tele_exps(exps, i, k):
                 base = u * coeff if sgn > 0 else -(u * coeff)
                 for c2, w2 in acted:
-                    _add_term(out, (tuple(new), w2), base * c2)
+                    add_term(out, (new, w2), base * c2)
     return InducedVector(mod, "y", out)
 
 
@@ -297,19 +265,16 @@ def dunkl_xi(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector
         for k in range(1, n + 1):
             if k == i:
                 continue
-            p, q = exps[i - 1], exps[k - 1]
-            if p == q:
+            if exps[i - 1] == exps[k - 1]:
                 continue
             otsgn, perm = sg.odd_transposition(k, i)
             acted = mod.act_perm(perm, w)
             if otsgn < 0:
                 acted = [(-c, w2) for c, w2 in acted]
-            for sgn, (ei, ek) in _tele(p, q):
-                new = list(exps)
-                new[i - 1], new[k - 1] = ei, ek
+            for sgn, new in _tele_exps(exps, i, k):
                 base = u * coeff if sgn > 0 else -(u * coeff)
                 for c2, w2 in acted:
-                    _add_term(out, (tuple(new), w2), base * c2)
+                    add_term(out, (new, w2), base * c2)
     return InducedVector(mod, "y", out)
 
 
@@ -327,28 +292,24 @@ def dunkl_y(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
         for k in range(1, n + 1):
             if k == i:
                 continue
-            p, q = exps[i - 1], exps[k - 1]
+            p = exps[i - 1]
             swapped = mod.act_perm(st.transposition(k, i, n), w)
             # (f - s_{ki} f)/(x_k - x_i) (x) s_{ki}(w)
-            for sgn, (ei, ek) in _tele(p, q):
-                new = list(exps)
-                new[i - 1], new[k - 1] = ei, ek
+            for sgn, new in _tele_exps(exps, i, k):
                 base = u * coeff if sgn < 0 else -(u * coeff)
                 for c2, w2 in swapped:
-                    _add_term(out, (tuple(new), w2), base * c2)
+                    add_term(out, (new, w2), base * c2)
             # (f - nu_{ik} s_{ki} f)/(x_k + x_i) (x) c_i c_k s_{ki}(w)
             acted = []
             for c2, w2 in swapped:
                 for c3, w3 in mod.act_gen(("c", k), w2):
                     for c4, w4 in mod.act_gen(("c", i), w3):
                         acted.append((c2 * c3 * c4, w4))
-            for sgn, (ei, ek) in _tele(p, q):
-                flip = sgn if (p + ei) & 1 else -sgn
-                new = list(exps)
-                new[i - 1], new[k - 1] = ei, ek
+            for sgn, new in _tele_exps(exps, i, k):
+                flip = sgn if (p + new[i - 1]) & 1 else -sgn
                 base = u * coeff if flip > 0 else -(u * coeff)
                 for c2, w2 in acted:
-                    _add_term(out, (tuple(new), w2), base * c2)
+                    add_term(out, (new, w2), base * c2)
     return InducedVector(mod, "x", out)
 
 
@@ -375,7 +336,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
         for (exps, w), coeff in v.terms.items():
             for c2, w2 in mod.act_perm(perm, w):
                 val = coeff * c2
-                _add_term(out, (_permute_exps(perm, exps), w2), val if sgn > 0 else -val)
+                add_term(out, (_permute_exps(perm, exps), w2), val if sgn > 0 else -val)
         return InducedVector(mod, v.side, out)
     if kind in ("s", "t"):
         m = token[1]
@@ -383,7 +344,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
         out = {}
         for (exps, w), coeff in v.terms.items():
             for c2, w2 in mod.act_gen(token, w):
-                _add_term(out, (_permute_exps(perm, exps), w2), coeff * c2)
+                add_term(out, (_permute_exps(perm, exps), w2), coeff * c2)
         return InducedVector(mod, v.side, out)
     if kind == "c":
         i = token[1]
@@ -392,7 +353,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
             twist = v.side == "x" and exps[i - 1] & 1
             for c2, w2 in mod.act_gen(token, w):
                 val = coeff * c2
-                _add_term(out, (exps, w2), -val if twist else val)
+                add_term(out, (exps, w2), -val if twist else val)
         return InducedVector(mod, v.side, out)
     if kind in ("y", "xi", "x"):
         i = token[1]
@@ -401,7 +362,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
             for (exps, w), coeff in v.terms.items():
                 new = list(exps)
                 new[i - 1] += 1
-                _add_term(out, (tuple(new), w), coeff)
+                add_term(out, (tuple(new), w), coeff)
             return InducedVector(mod, v.side, out)
         if kind == "x":
             return dunkl_x(i, v, u)
@@ -460,17 +421,22 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report
     return report
 
 
-def engine_action(token, exps: tuple, W: FiniteModule, idx: int) -> InducedVector:
-    """Oracle: act through the rewriting engine, normalizing generator * y^exps
-    in the y-first PBW order and reading the slots off against 1 (x) w."""
+def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y") -> InducedVector:
+    """Oracle: act through the rewriting engine.  Normalize generator * v^exps
+    in the y-first PBW order (``side="y"``, v = y) or in the standard DaHCa
+    order (``side="x"``, v = x), drop the terms with a surviving right slot,
+    which acts trivially on 1 (x) w, and read the rest off against 1 (x) w."""
     n = W.n
-    sig = alg.sdaha_yfirst(n) if W.spin else alg.dahca_yfirst(n)
+    if side == "x":
+        sig = alg.dahca(n)
+    else:
+        sig = alg.sdaha_yfirst(n) if W.spin else alg.dahca_yfirst(n)
     mono = (exps, st.identity(n), sig._zeros if sig.has_clifford else (), tuple([0] * n))
     prod = generator_element(sig, token) * monomial_element(sig, mono)
     out: dict = {}
     for (left, grp, cliff, right), coeff in prod.terms.items():
         if any(right):
-            continue  # the right slot acts trivially on 1 (x) w
+            continue
         terms = [(ONE, idx)]
         if cliff:
             for i in range(n, 0, -1):
@@ -483,81 +449,36 @@ def engine_action(token, exps: tuple, W: FiniteModule, idx: int) -> InducedVecto
                     merged.append((c2 * c3, w3))
             terms = merged
         for c2, w2 in terms:
-            _add_term(out, (left, w2), coeff * c2)
-    return InducedVector(W, "y", out)
+            add_term(out, (left, w2), coeff * c2)
+    return InducedVector(W, side, out)
 
 
-def engine_action_x(token, exps: tuple, W: FiniteModule, idx: int) -> InducedVector:
-    """Oracle for the C[x] (x) W module: normalize generator * x^exps in the
-    standard PBW order and drop the terms with a surviving y slot."""
-    n = W.n
-    sig = alg.dahca(n)
-    mono = (exps, st.identity(n), sig._zeros, tuple([0] * n))
-    prod = generator_element(sig, token) * monomial_element(sig, mono)
-    out: dict = {}
-    for (left, grp, cliff, right), coeff in prod.terms.items():
-        if any(right):
-            continue
-        terms = [(ONE, idx)]
-        for i in range(n, 0, -1):
-            if cliff[i - 1]:
-                terms = W._apply(("c", i), terms)
-        if grp != st.identity(n):
-            merged = []
-            for c2, w2 in terms:
-                for c3, w3 in W.act_perm(grp, w2):
-                    merged.append((c2 * c3, w3))
-            terms = merged
-        for c2, w2 in terms:
-            _add_term(out, (left, w2), coeff * c2)
-    return InducedVector(W, "x", out)
+def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side: str = "y") -> Report:
+    """Dunkl action == induced-module action computed by engine rewriting.
 
-
-def oracle_equivalence_x(W: FiniteModule, degree_bound: int = 4) -> Report:
-    """dunkl_y (and the other generators on C[x] (x) W) against the engine."""
-    sig = alg.dahca(W.n)
-    u = sig.u_scalar
-    report = Report(f"oracle-x[{sig.name}, {W.name}, deg<={degree_bound}]")
-    for token in sig.generator_tokens():
-        ok = True
-        witness = None
-        for exps in _poly_monomials(W.n, degree_bound):
-            for idx in range(W.dim()):
-                direct = act_token(token, InducedVector(W, "x", {(exps, idx): ONE}), u)
-                via_engine = engine_action_x(token, exps, W, idx)
-                if direct != via_engine:
-                    ok = False
-                    witness = (
-                        f"x^{exps} (x) {W.label(idx)}: dunkl={direct.render()} "
-                        f"engine={via_engine.render()}"
-                    )
-                    break
-            if not ok:
-                break
-        report.add(f"oracle-x[{token[0]}{token[1]}]", ok, witness)
-    return report
-
-
-def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4) -> Report:
-    """Dunkl action == induced-module action computed by engine rewriting."""
+    ``side="y"`` checks every generator of ``family`` on C[y] (x) W (report
+    ``oracle[...]``); ``side="x"`` checks the DaHCa generators, dunkl_y among
+    them, on C[x] (x) W (report ``oracle-x[...]``).
+    """
     sig = _module_sig(family, W.n)
     u = sig.u_scalar
-    report = Report(f"oracle[{sig.name}, {W.name}, deg<={degree_bound}]")
+    tag = "oracle" if side == "y" else "oracle-x"
+    report = Report(f"{tag}[{sig.name}, {W.name}, deg<={degree_bound}]")
     for token in sig.generator_tokens():
         ok = True
         witness = None
         for exps in _poly_monomials(W.n, degree_bound):
             for idx in range(W.dim()):
-                direct = act_token(token, InducedVector(W, "y", {(exps, idx): ONE}), u)
-                via_engine = engine_action(token, exps, W, idx)
+                direct = act_token(token, InducedVector(W, side, {(exps, idx): ONE}), u)
+                via_engine = engine_action(token, exps, W, idx, side)
                 if direct != via_engine:
                     ok = False
                     witness = (
-                        f"y^{exps} (x) {W.label(idx)}: dunkl={direct.render()} "
+                        f"{side}^{exps} (x) {W.label(idx)}: dunkl={direct.render()} "
                         f"engine={via_engine.render()}"
                     )
                     break
             if not ok:
                 break
-        report.add(f"oracle[{token[0]}{token[1]}]", ok, witness)
+        report.add(f"{tag}[{token[0]}{token[1]}]", ok, witness)
     return report

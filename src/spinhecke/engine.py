@@ -23,7 +23,7 @@ from random import Random
 
 from . import structure as st
 from .reports import Report
-from .scalars import ONE, Scalar, QOmega
+from .scalars import ONE, Scalar, QOmega, add_term
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
@@ -307,12 +307,7 @@ class AlgebraSignature:
         out: dict = {}
         for mono, c in terms.items():
             for m2, c2 in self._insert(atom, mono).items():
-                acc = out.get(m2)
-                val = c * c2 if acc is None else acc + c * c2
-                if val:
-                    out[m2] = val
-                elif m2 in out:
-                    del out[m2]
+                add_term(out, m2, c * c2)
         return out
 
     def _insert(self, atom: tuple, mono: tuple) -> dict:
@@ -334,12 +329,7 @@ class AlgebraSignature:
                 for a in reversed(repl):
                     sub = self._insert_into(a, sub)
                 for m2, c2 in sub.items():
-                    acc = out.get(m2)
-                    val = coeff * c2 if acc is None else acc + coeff * c2
-                    if val:
-                        out[m2] = val
-                    elif m2 in out:
-                        del out[m2]
+                    add_term(out, m2, coeff * c2)
         self._norm_cache[key] = out
         return out
 
@@ -674,12 +664,7 @@ class Element:
         self._compatible(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m)
-            val = c if acc is None else acc + c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
+            add_term(out, m, c)
         return Element(self.sig, out)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -701,12 +686,7 @@ class Element:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m, c in sig.mul_mono(m1, m2).items():
-                    acc = out.get(m)
-                    val = c12 * c if acc is None else acc + c12 * c
-                    if val:
-                        out[m] = val
-                    elif m in out:
-                        del out[m]
+                    add_term(out, m, c12 * c)
         return Element(sig, out)
 
     def __pow__(self, k: int) -> "Element":
@@ -723,6 +703,8 @@ class Element:
         return out
 
     def _invert_monomial(self) -> "Element":
+        if not self.terms:
+            raise AlgebraError("division by zero")
         if len(self.terms) != 1:
             raise AlgebraError("only invertible monomials can be raised to negative powers")
         (mono, coeff), = self.terms.items()
@@ -804,12 +786,7 @@ def element_from_terms(sig, terms) -> Element:
         if eff.is_zero:
             continue
         for m, c in sig.normalize(atoms).items():
-            acc = out.get(m)
-            val = eff * c if acc is None else acc + eff * c
-            if val:
-                out[m] = val
-            elif m in out:
-                del out[m]
+            add_term(out, m, eff * c)
     return Element(sig, out)
 
 
@@ -890,7 +867,7 @@ def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:
         again = {}
         for m, coeff in left.terms.items():
             for m2, c2 in sig.normalize(sig.mono_atoms(m)).items():
-                again[m2] = again.get(m2, Scalar.from_rational(0)) + coeff * c2
+                add_term(again, m2, coeff * c2)
         ok2 = Element(sig, again) == left
         report.add(f"idem[{trial:04d}]", ok2, None if ok2 else mono_str(sig, a))
     return report

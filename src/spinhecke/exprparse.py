@@ -152,7 +152,7 @@ class _Parser:
 
     def named(self, name: str, at: int) -> Element:
         if name == "u":
-            return Element.scalar(self.sig, Scalar.u_power(1))
+            return Element.scalar(self.sig, self.sig.u_scalar)
         if name == "w":
             return Element.scalar(self.sig, W)
         if name in _CALL_NAMES and self.peek()[1] == "(":

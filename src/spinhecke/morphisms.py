@@ -19,7 +19,7 @@ from . import structure as st
 from .engine import AlgebraError, Element, element_from_terms, generator_element
 from .render import element_str, mono_str
 from .reports import Report
-from .scalars import ONE, Scalar, W
+from .scalars import ONE, Scalar, W, add_term
 
 __all__ = [
     "TensorSignature",
@@ -35,8 +35,6 @@ __all__ = [
     "named_morphism",
     "inverse_pairs",
     "MORPHISM_NAMES",
-    "rational_to_trig",
-    "trig_to_rational",
 ]
 
 _W_INV = ONE / W
@@ -114,12 +112,7 @@ class TensorSignature:
                         for im2, c2 in self.inner._insert(atom[1], im).items()
                     }
                 for m2, c2 in terms.items():
-                    acc = nxt.get(m2)
-                    val = c * c2 if acc is None else acc + c * c2
-                    if val:
-                        nxt[m2] = val
-                    elif m2 in nxt:
-                        del nxt[m2]
+                    add_term(nxt, m2, c * c2)
             out = nxt
         return out
 
@@ -307,62 +300,41 @@ def _images(sig, table) -> dict:
     return {tok: element_from_terms(sig, terms) for tok, terms in table.items()}
 
 
+# Phi<suffix>: even -> C_n (x) spin and its inverse Psi<suffix>, by suffix:
+# (even algebra, spin algebra, paired letters (even, spin), pass-through
+# letters).  Phi sends even_i to w c_i spin_i, Psi sends spin_i to
+# (1/w) c_i even_i.
+_MIRROR_PAIRS = {
+    "Fin": (alg.clifford_sym, alg.spin_sym, None, ()),
+    "Hat": (alg.affine_hc, alg.spin_affine, ("a", "b"), ()),
+    "": (alg.dahca, alg.sdaha, ("x", "xi"), ("y",)),
+    "Tr": (alg.trig_dahca, alg.trig_sdaha, ("epsv", "zeta"), ("e", "einv")),
+}
+
+
+def _mirror_morphism(name: str, n: int) -> Morphism:
+    """Phi: even -> C_n (x) spin, and its mirror Psi with W <-> 1/W and s <-> t."""
+    even, spin, odd, through = _MIRROR_PAIRS[name[3:]]
+    phi = name.startswith("Phi")
+    src, tgt = even(n), tensor_with_clifford(spin(n))
+    if not phi:
+        src, tgt = tgt, src
+    table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for letter in through:
+            table[(letter, i)] = [(ONE, ((letter, i),))]
+        if odd:
+            a, b = odd if phi else odd[::-1]
+            table[(a, i)] = [(W if phi else _W_INV, (("c", i), (b, i)))]
+    g, h = ("s", "t") if phi else ("t", "s")
+    table.update({(g, i): _cw_pair(i, (h, i), not phi) for i in range(1, n)})
+    return Morphism(name, src, tgt, _images(tgt, table))
+
+
 @lru_cache(maxsize=None)
 def named_morphism(name: str, n: int) -> Morphism:
-    if name == "PhiFin":
-        src, tgt = alg.clifford_sym(n), tensor_with_clifford(alg.spin_sym(n))
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("s", i): _cw_pair(i, ("t", i), False) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "PsiFin":
-        src, tgt = tensor_with_clifford(alg.spin_sym(n)), alg.clifford_sym(n)
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("t", i): _cw_pair(i, ("s", i), True) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "PhiHat":
-        src, tgt = alg.affine_hc(n), tensor_with_clifford(alg.spin_affine(n))
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("a", i): [(W, (("c", i), ("b", i)))] for i in range(1, n + 1)})
-        table.update({("s", i): _cw_pair(i, ("t", i), False) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "PsiHat":
-        src, tgt = tensor_with_clifford(alg.spin_affine(n)), alg.affine_hc(n)
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("b", i): [(_W_INV, (("c", i), ("a", i)))] for i in range(1, n + 1)})
-        table.update({("t", i): _cw_pair(i, ("s", i), True) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "Phi":
-        src, tgt = alg.dahca(n), tensor_with_clifford(alg.sdaha(n))
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("y", i): [(ONE, (("y", i),))] for i in range(1, n + 1)})
-        table.update({("x", i): [(W, (("c", i), ("xi", i)))] for i in range(1, n + 1)})
-        table.update({("s", i): _cw_pair(i, ("t", i), False) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "Psi":
-        src, tgt = tensor_with_clifford(alg.sdaha(n)), alg.dahca(n)
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("y", i): [(ONE, (("y", i),))] for i in range(1, n + 1)})
-        table.update({("xi", i): [(_W_INV, (("c", i), ("x", i)))] for i in range(1, n + 1)})
-        table.update({("t", i): _cw_pair(i, ("s", i), True) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "PhiTr":
-        src, tgt = alg.trig_dahca(n), tensor_with_clifford(alg.trig_sdaha(n))
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        for i in range(1, n + 1):
-            table[("e", i)] = [(ONE, (("e", i),))]
-            table[("einv", i)] = [(ONE, (("einv", i),))]
-            table[("epsv", i)] = [(W, (("c", i), ("zeta", i)))]
-        table.update({("s", i): _cw_pair(i, ("t", i), False) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "PsiTr":
-        src, tgt = tensor_with_clifford(alg.trig_sdaha(n)), alg.trig_dahca(n)
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        for i in range(1, n + 1):
-            table[("e", i)] = [(ONE, (("e", i),))]
-            table[("einv", i)] = [(ONE, (("einv", i),))]
-            table[("zeta", i)] = [(_W_INV, (("c", i), ("epsv", i)))]
-        table.update({("t", i): _cw_pair(i, ("s", i), True) for i in range(1, n)})
-        return Morphism(name, src, tgt, _images(tgt, table))
+    if name[:3] in ("Phi", "Psi") and name[3:] in _MIRROR_PAIRS:
+        return _mirror_morphism(name, n)
     if name in ("Iota", "IotaLoc"):
         src = alg.dahca(n) if name == "Iota" else alg.dahca_localized(n)
         tgt = alg.trig_dahca(n)
@@ -450,19 +422,6 @@ def inverse_pairs(n: int) -> list:
         ("IotaMinus/JMinus", named_morphism("IotaMinus", n), named_morphism("JMinus", n),
          named_morphism("IotaMinusLoc", n)),
     ]
-
-
-def rational_to_trig(kind: str, a: Element) -> Element:
-    """Apply iota (kind='Iota') or iota^- (kind='IotaMinus')."""
-    m = named_morphism(kind, a.sig.n)
-    return apply_morphism(m, a)
-
-
-def trig_to_rational(kind: str, a: Element) -> Element:
-    """Apply j (kind='J') or j^- (kind='JMinus'); lands in the localized
-    rational algebra."""
-    m = named_morphism(kind, a.sig.n)
-    return apply_morphism(m, a)
 
 
 def lift_tensor(m: Morphism) -> Morphism:

@@ -20,8 +20,7 @@ __all__ = [
     "U",
     "UINV",
     "W",
-    "scalar_arith",
-    "scalar_eval",
+    "add_term",
 ]
 
 
@@ -426,19 +425,11 @@ UINV = Scalar.u_power(-1)
 W = Scalar.from_qomega(_QW)
 
 
-def scalar_arith(lhs: Scalar, op: str, rhs: Scalar) -> Scalar:
-    """Field arithmetic dispatch used by the CLI: op in {add, sub, mul, div}."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-def scalar_eval(s: Scalar, u0: QOmega) -> QOmega:
-    """Exact specialization of u; see :meth:`Scalar.eval`."""
-    return s.eval(u0)
+def add_term(acc: dict, key, val) -> None:
+    """acc[key] += val in a sparse map, dropping the key when it cancels."""
+    prev = acc.get(key)
+    val = val if prev is None else prev + val
+    if val:
+        acc[key] = val
+    elif key in acc:
+        del acc[key]

@@ -7,6 +7,8 @@ from __future__ import annotations
 from . import algebras as alg
 from . import structure as st
 from .clifford_family import center_check as spin_center_check
+from .clifford_family import power_sum_y
+from .clifford_family import trig_commutator as spin_trig_commutator
 from .engine import AlgebraError, Element, element_from_terms, generator_element
 from .morphisms import Morphism, check_homomorphism
 from .render import element_str
@@ -92,10 +94,6 @@ def spin_evaluation_hom_check(n: int) -> Report:
     return report
 
 
-def power_sum_y(k: int, sig) -> Element:
-    return element_from_terms(sig, [(ONE, (("y", i),) * k) for i in range(1, sig.n + 1)])
-
-
 def power_sum_xi_squared(k: int, sig) -> Element:
     return element_from_terms(sig, [(ONE, (("xi", i),) * (2 * k)) for i in range(1, sig.n + 1)])
 
@@ -120,12 +118,3 @@ def spin_center_example(sig, scaled: bool = True) -> Element:
             (-cu, (("xi", 2), ("t", 1))),
         ],
     )
-
-
-def spin_trig_commutator(i: int, eta, sig) -> Element:
-    """Closed form of [zeta_i, e^eta] in the trigonometric sDaHa."""
-    if not 1 <= i <= sig.n:
-        raise AlgebraError(f"index {i} out of range 1..{sig.n}")
-    if not sig.spin or not sig.left_laurent:
-        raise AlgebraError("spin_trig_commutator lives in the trigonometric sDaHa")
-    return element_from_terms(sig, alg.trig_comm_terms(sig, i, tuple(eta)))

@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import QOmega
+from .scalars import QOmega, add_term
 
 __all__ = [
     "identity",
@@ -195,14 +195,7 @@ def _cd_mul(A: dict, B: dict) -> dict:
         for wb, cb in B.items():
             sgn, word = cliff_mul(wa, wb)
             coeff = ca * cb
-            if sgn < 0:
-                coeff = -coeff
-            acc = out.get(word)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                out[word] = coeff
-            elif word in out:
-                del out[word]
+            add_term(out, word, coeff if sgn > 0 else -coeff)
     return out
 
 

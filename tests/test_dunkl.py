@@ -130,12 +130,12 @@ def test_oracle_equivalence_small():
     assert rep.ok, str(rep)
     rep = dk.oracle_equivalence("sdaha", dk.regular_spin(2), degree_bound=3)
     assert rep.ok, str(rep)
-    rep = dk.oracle_equivalence_x(dk.basic_spin(2), degree_bound=3)
+    rep = dk.oracle_equivalence("dahca", dk.basic_spin(2), degree_bound=3, side="x")
     assert rep.ok, str(rep)
 
 
 def test_oracle_equivalence_x_n3():
-    rep = dk.oracle_equivalence_x(dk.basic_spin(3), degree_bound=3)
+    rep = dk.oracle_equivalence("dahca", dk.basic_spin(3), degree_bound=3, side="x")
     assert rep.ok, str(rep)
 
 

@@ -138,6 +138,11 @@ def test_cli_u_specialization_flag():
     )
     assert rc == 0
     assert out.strip() == "x1*y1"
+    rc, out = _run(["normalize", "--algebra", "dahca", "--n", "2", "--u", "1", "--expr", "u*x1"])
+    assert rc == 0
+    assert out.strip() == "x1"
+    rc, _ = _run(["normalize", "--algebra", "dahca", "--n", "2", "--u", "0", "--expr", "x1/u"])
+    assert rc == 2
 
 
 def test_cli_center_check_at_u_zero():
@@ -186,6 +191,17 @@ def test_cli_usage_errors_exit_two():
     assert rc == 2
     rc = main(["normalize", "--algebra", "nothere", "--n", "2", "--expr", "x1"])
     assert rc == 2
+    for argv in (
+        ["act", "--op", "dunkl-x", "--i", "5", "--n", "2", "--expr", "y1"],
+        ["act", "--op", "dunkl-x", "--i", "0", "--n", "2", "--expr", "y1"],
+        ["act", "--op", "dunkl-x", "--i", "1", "--n", "2", "--expr", "y1", "--vector", "99"],
+        ["act", "--op", "dunkl-xi", "--i", "1", "--module", "regular-spin", "--n", "2",
+         "--expr", "y1", "--vector", "-1"],
+        ["verify-modules", "--algebra", "dahca", "--n", "2", "--degree-bound", "-1"],
+        ["normalize", "--algebra", "dahca", "--n", "2", "--expr", "x1/0"],
+        ["normalize", "--algebra", "dahca", "--n", "2", "--u", "1/0", "--expr", "x1"],
+    ):
+        assert main(argv) == 2, argv
 
 
 def test_cli_embedding_check():
