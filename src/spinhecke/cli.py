@@ -140,6 +140,8 @@ def _cmd_embedding_check(args) -> int:
 
 
 def _cmd_cocycle_table(args) -> int:
+    if args.n < 2:
+        raise AlgebraError("rank n must be at least 2")
     sg = spin_group(args.n)
     rows = []
     for p in sorted(all_perms(args.n)):

@@ -246,7 +246,11 @@ def parse_scalar(text: str) -> Scalar:
     from . import algebras
 
     sig = algebras.sym(2)
-    elem = parse_expression(text, sig)
+    try:
+        elem = parse_expression(text, sig)
+    except ParseError as exc:
+        # the private Sym(2) is no part of the input: report the input itself
+        raise ParseError(f"{text!r} is not a scalar") from exc
     if elem.is_zero:
         return Scalar.from_rational(0)
     if list(elem.terms.keys()) != [sig.one_mono]:

@@ -212,14 +212,19 @@ class SpinGroup:
 
     The primary cocycle computation goes through the faithful Clifford model
     t_i |-> (1/w)(c_{i+1} - c_i) s_i inside C_n x| CS_n, which represents
-    t_p as K_p * p with K_p a Clifford-algebra element.  An independent
-    word-rewriting oracle (:meth:`beta_by_words`) reduces concatenated
-    canonical words using only the defining braid/commutation relations.
+    t_p as K_p * p with K_p a Clifford-algebra element.  The model keeps
+    K'_p = w^l(p) K_p, the product of the factors (c_{i+1} - c_i) along the
+    Lehmer word, so every coefficient is an integer.  Since w^2 = -2,
+    K'_p (p K'_q p^{-1}) = beta(p, q) (-2)^m K'_{pq} with
+    2m = l(p) + l(q) - l(pq), and :meth:`beta` reads the sign off one
+    coefficient of that identity.  An independent word-rewriting oracle
+    (:meth:`beta_by_words`) reduces concatenated canonical words using only
+    the defining braid/commutation relations.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._K = {identity(n): {tuple([0] * n): QOmega(1)}}
+        self._K = {identity(n): {tuple([0] * n): 1}}
         self._beta_cache = {}
         self._moves_cache = {}
         self._lehmer_cache = {}
@@ -243,11 +248,12 @@ class SpinGroup:
         i = word[-1]
         prefix = compose(p, transposition(i, i + 1, self.n))
         Kpre = self._kappa(prefix)
-        # t_prefix * t_i adds the factor (1/w)(c_{prefix(i+1)} - c_{prefix(i)})
+        # t_prefix * t_i adds the factor (1/w)(c_{prefix(i+1)} - c_{prefix(i)});
+        # K' keeps it without the 1/w
         a, b = apply_perm(prefix, i + 1), apply_perm(prefix, i)
         wa = tuple(1 if m == a else 0 for m in range(1, self.n + 1))
         wb = tuple(1 if m == b else 0 for m in range(1, self.n + 1))
-        factor = {wa: _W_INV, wb: -_W_INV}
+        factor = {wa: 1, wb: -1}
         K = _cd_mul(Kpre, factor)
         self._K[p] = K
         return K
@@ -258,22 +264,37 @@ class SpinGroup:
         cached = self._beta_cache.get(key)
         if cached is not None:
             return cached
-        prod = _cd_mul(self._kappa(p), _cd_conj(p, self._kappa(q)))
-        target = self._kappa(compose(p, q))
-        word, coeff = next(iter(target.items()))
-        ratio = prod[word] / coeff
-        if ratio == QOmega(1):
+        pq = compose(p, q)
+        word, target = next(iter(self._kappa(pq).items()))
+        # the coefficient of `word` in K'_p * (p K'_q p^{-1}), and nothing else
+        conj_q = _cd_conj(p, self._kappa(q))
+        coeff = 0
+        for wa, ca in self._kappa(p).items():
+            wb = tuple(x ^ y for x, y in zip(wa, word))
+            cb = conj_q.get(wb)
+            if cb:
+                sgn, _ = cliff_mul(wa, wb)
+                coeff += sgn * ca * cb
+        m2 = len(self.canword(p)) + len(self.canword(q)) - len(self.canword(pq))
+        expected = (-2) ** (m2 // 2) * target
+        if coeff == expected:
             sign = 1
-        elif ratio == QOmega(-1):
+        elif coeff == -expected:
             sign = -1
         else:  # the model is faithful, so this cannot happen
-            raise ArithmeticError(f"non-sign cocycle ratio {ratio!r}")
+            raise ArithmeticError(
+                f"non-sign cocycle ratio: coefficient {coeff}, expected +-{expected}"
+            )
         self._beta_cache[key] = sign
         return sign
 
     def kappa_table(self, p: tuple) -> dict:
-        """The Clifford coefficient K_p of the model (for cross-checks)."""
-        return dict(self._kappa(p))
+        """The Clifford coefficient K_p = (1/w)^l(p) K'_p of the model, over
+        Q(w) (for cross-checks)."""
+        scale = QOmega(1)
+        for _ in self.canword(p):
+            scale = scale * _W_INV
+        return {word: scale * QOmega(c) for word, c in self._kappa(p).items()}
 
     # -- word-rewriting oracle ----------------------------------------------
 

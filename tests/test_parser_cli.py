@@ -200,8 +200,20 @@ def test_cli_usage_errors_exit_two():
         ["verify-modules", "--algebra", "dahca", "--n", "2", "--degree-bound", "-1"],
         ["normalize", "--algebra", "dahca", "--n", "2", "--expr", "x1/0"],
         ["normalize", "--algebra", "dahca", "--n", "2", "--u", "1/0", "--expr", "x1"],
+        ["cocycle-table", "--n", "-1"],
+        ["cocycle-table", "--n", "0"],
+        ["cocycle-table", "--n", "1"],
     ):
         assert main(argv) == 2, argv
+
+
+def test_cli_non_scalar_flag_message(capsys):
+    for argv in (
+        ["verify-relations", "--algebra", "dahca", "--n", "2", "--u", "x1"],
+        ["embedding-check", "--algebra", "dahca", "--n", "2", "--alpha", "x1"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: 'x1' is not a scalar\n"
 
 
 def test_cli_embedding_check():

@@ -103,11 +103,21 @@ def test_cocycle_matches_word_oracle_small():
                 assert sg.beta(p, q) == sg.beta_by_words(p, q), (p, q)
 
 
+def test_cocycle_matches_word_oracle_random():
+    rng = random.Random(59)
+    for n, trials in ((5, 2000), (6, 200)):
+        sg = spin_group(n)
+        perms = list(all_perms(n))
+        for _ in range(trials):
+            p, q = rng.choice(perms), rng.choice(perms)
+            assert sg.beta(p, q) == sg.beta_by_words(p, q), (p, q)
+
+
 def test_clifford_model_full_equality():
     # K_p * (p K_q p^{-1}) equals beta * K_{pq} as full Clifford elements
     from spinhecke.structure import _cd_conj, _cd_mul
 
-    for n in (2, 3):
+    for n in (2, 3, 4):
         sg = spin_group(n)
         for p in all_perms(n):
             for q in all_perms(n):
