@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import algebras
 from . import clifford_family as cf
@@ -221,7 +222,10 @@ def _add_common(p, algebra=True, expr=False):
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each ``parse_args`` call returns a
+    fresh namespace, so :func:`main` reuses it."""
     ap = argparse.ArgumentParser(
         prog="spinhecke",
         description="Exact computations in the double affine Hecke algebras of the spin symmetric group.",

@@ -1,15 +1,19 @@
 """Exact arithmetic in the coefficient field Q(w)(u), where w^2 = -2.
 
 A scalar is a rational function in the deformation parameter ``u`` whose
-coefficients live in the quadratic field Q(w).  Every arithmetic operation
-returns a reduced canonical form (monic denominator, gcd(num, den) = 1), so
-structural equality of representations coincides with equality in the field.
+coefficients live in the quadratic field Q(w).  A :class:`QOmega` holds three
+ints ``(p, q, d)`` for (p + q*w)/d with d > 0 and gcd(p, q, d) = 1, so each
+element of Q(w) has one representation.  Every :class:`Scalar` is kept in a
+reduced canonical form (monic denominator, gcd(num, den) = 1) and is interned:
+one object exists per value, so equality and hashing are by identity, and a
+memoized product or sum is one dict lookup on a pair of objects.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "PoleError",
@@ -31,57 +35,74 @@ class PoleError(ZeroDivisionError):
 class QOmega:
     """An element ``a + b*w`` of Q(w), with w^2 = -2.
 
+    Stored as three ints ``(p, q, d)`` meaning (p + q*w)/d, with d > 0 and
+    gcd(p, q, d) = 1; ``a`` and ``b`` are read back as Fractions.
+
     >>> QOmega(0, 1) * QOmega(0, 1)
     QOmega(-2)
     >>> QOmega(0, 1).inverse()
     QOmega(-1/2*w)
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("p", "q", "d")
 
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, a=0, b=0):
+        if type(a) is int and type(b) is int:
+            return _qomega(a, b, 1)
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // gcd(da, db)
+        return _qomega(a.numerator * (d // da), b.numerator * (d // db), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QOmega is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self.p) or bool(self.q)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QOmega) and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.a, self.b))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other: "QOmega") -> "QOmega":
-        return QOmega(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "QOmega") -> "QOmega":
-        return QOmega(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "QOmega":
-        return QOmega(-self.a, -self.b)
-
-    def __mul__(self, other: "QOmega") -> "QOmega":
-        # (a + bw)(c + dw) = (ac - 2bd) + (ad + bc)w
-        return QOmega(
-            self.a * other.a - 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
+        return (
+            isinstance(other, QOmega)
+            and self.p == other.p
+            and self.q == other.q
+            and self.d == other.d
         )
 
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.d))
+
+    def __add__(self, other: "QOmega") -> "QOmega":
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _qomega(self.p + other.p, self.q + other.q, d1)
+        return _qomega(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1, d1 * d2)
+
+    def __sub__(self, other: "QOmega") -> "QOmega":
+        return self + -other
+
+    def __neg__(self) -> "QOmega":
+        return _qomega(-self.p, -self.q, self.d)
+
+    def __mul__(self, other: "QOmega") -> "QOmega":
+        # (p1 + q1 w)(p2 + q2 w) = (p1 p2 - 2 q1 q2) + (p1 q2 + q1 p2) w
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        return _qomega(p1 * p2 - 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * other.d)
+
     def inverse(self) -> "QOmega":
-        # conjugate: (a + bw)(a - bw) = a^2 + 2b^2 > 0 unless a = b = 0
-        norm = self.a * self.a + 2 * self.b * self.b
+        # conjugate: (p + qw)(p - qw) = p^2 + 2q^2 > 0 unless p = q = 0
+        p, q = self.p, self.q
+        norm = p * p + 2 * q * q
         if not norm:
             raise ZeroDivisionError("inverse of zero in Q(w)")
-        return QOmega(self.a / norm, -self.b / norm)
+        return _qomega(p * self.d, -q * self.d, norm)
 
     def __truediv__(self, other: "QOmega") -> "QOmega":
         return self * other.inverse()
@@ -89,29 +110,61 @@ class QOmega:
     def render(self, atom: bool = False) -> str:
         """Canonical text form; with ``atom=True`` a two-term value is
         parenthesized so it can appear as a factor."""
-        if not self.b:
-            return str(self.a)
-        if self.b == 1:
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            return _ratstr(p, d)
+        if q == d:
             wpart = "w"
-        elif self.b == -1:
+        elif q == -d:
             wpart = "-w"
         else:
-            wpart = f"{self.b}*w"
-        if not self.a:
+            wpart = f"{_ratstr(q, d)}*w"
+        if not p:
             return wpart
-        joined = f"{self.a} - {wpart[1:]}" if wpart.startswith("-") else f"{self.a} + {wpart}"
+        a = _ratstr(p, d)
+        joined = f"{a} - {wpart[1:]}" if wpart.startswith("-") else f"{a} + {wpart}"
         return f"({joined})" if atom else joined
 
     def __repr__(self) -> str:
         return f"QOmega({self.render()})"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _qomega(p: int, q: int, d: int) -> QOmega:
+    """The QOmega (p + q*w)/d for ints with d != 0, reduced."""
+    if d != 1:
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    out = _new(QOmega)
+    _set(out, "p", p)
+    _set(out, "q", q)
+    _set(out, "d", d)
+    return out
+
+
+def _ratstr(n: int, d: int) -> str:
+    """The text of the rational n/d (d > 0), as ``str(Fraction(n, d))``."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 _Q0 = QOmega(0)
 _Q1 = QOmega(1)
+_QM1 = QOmega(-1)
 _QW = QOmega(0, 1)
 _DEN1 = (_Q1,)
-_NUM1 = (_Q1,)
-_MUL_CACHE: dict = {}
+_INTERN: dict = {}  # (num, den) -> the one Scalar with that reduced form
+_MUL_CACHE: dict = {}  # (Scalar, Scalar) -> product
+_ADD_CACHE: dict = {}  # (Scalar, Scalar) -> sum
+_NEG_CACHE: dict = {}  # Scalar -> its negative
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +265,7 @@ def _prender(p: tuple) -> str:
             var = "u" if k == 1 else f"u^{k}"
             if c == _Q1:
                 body = var
-            elif c == QOmega(-1):
+            elif c == _QM1:
                 body = f"-{var}"
             else:
                 body = f"{c.render(atom=True)}*{var}"
@@ -226,23 +279,27 @@ def _prender(p: tuple) -> str:
 class Scalar:
     """A reduced rational function in u over Q(w).
 
-    Construct via the classmethods or the module constants; arithmetic keeps
-    the invariant that the denominator is monic and coprime to the numerator.
+    ``num`` and ``den`` are coefficient tuples (constant term first, no
+    trailing zeros) with ``den`` monic and coprime to ``num``.  Scalars are
+    interned: constructing a value that already exists returns the existing
+    object, so ``==`` and ``hash`` are those of ``object`` (identity).
+    Construct via the classmethods or the module constants; ``Scalar(num,
+    den)`` reduces an arbitrary pair first.
 
     >>> (U * UINV).render()
     '1'
     >>> (ONE / W).render()
     '-1/2*w'
+    >>> (U * UINV) is ONE
+    True
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: tuple, den: tuple, _reduced: bool = False):
+    def __new__(cls, num: tuple, den: tuple, _reduced: bool = False) -> "Scalar":
         if not _reduced:
-            num, den = _reduce(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+            num, den = _reduce(tuple(num), tuple(den))
+        return _intern(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -256,25 +313,25 @@ class Scalar:
     @classmethod
     def from_qomega(cls, c: QOmega) -> "Scalar":
         num = (c,) if c else ()
-        return cls(num, (_Q1,), _reduced=True)
+        return cls(num, _DEN1, _reduced=True)
 
     @classmethod
     def u_power(cls, k: int) -> "Scalar":
         if k >= 0:
-            return cls((_Q0,) * k + (_Q1,), (_Q1,), _reduced=True)
+            return cls((_Q0,) * k + (_Q1,), _DEN1, _reduced=True)
         return cls((_Q1,), (_Q0,) * (-k) + (_Q1,), _reduced=True)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return self is not ZERO
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return self is ZERO
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (_Q1,)
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def constant_value(self) -> QOmega:
         if not self.is_constant():
@@ -282,49 +339,59 @@ class Scalar:
         return self.num[0] if self.num else _Q0
 
     # -- arithmetic ---------------------------------------------------------
+    # A monic denominator of length 1 is the constant 1.
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not self.num:
+        if self is ZERO:
             return other
-        if not other.num:
+        if other is ZERO:
             return self
-        if self.den == _DEN1 and other.den == _DEN1:
-            return Scalar(_padd(self.num, other.num), _DEN1, _reduced=True)
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        key = (self, other)
+        out = _ADD_CACHE.get(key)
+        if out is None:
+            if len(self.den) == 1 and len(other.den) == 1:
+                out = _intern(_padd(self.num, other.num), _DEN1)
+            else:
+                out = Scalar(
+                    _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
+                    _pmul(self.den, other.den),
+                )
+            _ADD_CACHE[key] = out
+        return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if not other.num:
+        if other is ZERO:
             return self
-        if self.den == _DEN1 and other.den == _DEN1:
-            return Scalar(_padd(self.num, _pneg(other.num)), _DEN1, _reduced=True)
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _intern(_padd(self.num, _pneg(other.num)), _DEN1)
         return Scalar(
             _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
             _pmul(self.den, other.den),
         )
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _reduced=True)
+        out = _NEG_CACHE.get(self)
+        if out is None:
+            out = _NEG_CACHE[self] = _intern(_pneg(self.num), self.den)
+        return out
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self.num or self.num == _NUM1 and self.den == _DEN1:
-            return self if not self.num else other
-        if not other.num or other.num == _NUM1 and other.den == _DEN1:
-            return other if not other.num else self
+        if self is ONE or other is ZERO:
+            return other
+        if other is ONE or self is ZERO:
+            return self
         key = (self, other)
         out = _MUL_CACHE.get(key)
         if out is None:
-            if self.den == _DEN1 and other.den == _DEN1:
-                out = Scalar(_pmul(self.num, other.num), _DEN1, _reduced=True)
+            if len(self.den) == 1 and len(other.den) == 1:
+                out = _intern(_pmul(self.num, other.num), _DEN1)
             else:
                 out = Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
             _MUL_CACHE[key] = out
         return out
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if not other.num:
+        if other is ZERO:
             raise ZeroDivisionError("scalar division by zero")
         return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
@@ -339,20 +406,6 @@ class Scalar:
             base = base * base
             k >>= 1
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     # -- evaluation / rendering --------------------------------------------
 
@@ -369,7 +422,7 @@ class Scalar:
         if not self.num:
             return "0"
         num_str = _prender(self.num)
-        if self.den == (_Q1,):
+        if len(self.den) == 1:
             if atom and (" + " in num_str or " - " in num_str):
                 return f"({num_str})"
             return num_str
@@ -382,6 +435,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.render()})"
+
+
+def _intern(num: tuple, den: tuple) -> Scalar:
+    """The one Scalar with reduced form ``(num, den)``."""
+    key = (num, den)
+    out = _INTERN.get(key)
+    if out is None:
+        out = _new(Scalar)
+        _set(out, "num", num)
+        _set(out, "den", den)
+        # setdefault: of two threads that build one value, both get the same object
+        out = _INTERN.setdefault(key, out)
+    return out
 
 
 def _reduce(num: tuple, den: tuple) -> tuple:

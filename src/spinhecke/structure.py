@@ -18,7 +18,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import QOmega, add_term
@@ -186,7 +185,7 @@ def koszul_sign(p: int, q: int) -> int:
 # The spin symmetric group algebra CS_n^-
 # ---------------------------------------------------------------------------
 
-_W_INV = QOmega(0, Fraction(-1, 2))  # 1/w = -w/2, since w*(-w/2) = 1
+_W_INV = QOmega(0, 1).inverse()  # 1/w = -w/2, since w*(-w/2) = 1
 
 
 def _cd_mul(A: dict, B: dict) -> dict:

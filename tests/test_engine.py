@@ -243,3 +243,18 @@ def test_pbw_order_round_trip():
             there = _reorder(elem, flipped)
             back = _reorder(there, main)
             assert back == elem
+
+
+def test_specialized_algebras_stay_free_of_u():
+    rng = random.Random(5150)
+    checked = 0
+    for name in alg.ALGEBRA_NAMES:
+        for u0 in (0, 1, 2):
+            sig = alg.by_name(name, 3, QOmega(u0))
+            for _ in range(20):
+                a = monomial_element(sig, random_monomial(sig, rng, 2))
+                b = monomial_element(sig, random_monomial(sig, rng, 2))
+                for coeff in (a * b).terms.values():
+                    assert coeff.is_constant(), (name, u0, coeff)
+                    checked += 1
+    assert checked > 540

@@ -3,11 +3,12 @@
 import io
 import json
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from spinhecke import algebras as alg
+from spinhecke import cli
 from spinhecke.cli import main
 from spinhecke.engine import element_from_terms, monomial_element, random_monomial
 from spinhecke.exprparse import ParseError, parse_expression, parse_scalar
@@ -214,6 +215,32 @@ def test_cli_non_scalar_flag_message(capsys):
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: 'x1' is not a scalar\n"
+
+
+def _run_full(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cli_parser_reuse_matches_fresh_parser():
+    assert cli.build_parser() is cli.build_parser()
+    session = (
+        ["normalize", "--algebra", "dahca", "--n", "2", "--expr", "y1*x1"],
+        ["verify-relations", "--algebra", "sdaha", "--n", "2", "--format", "json"],
+        ["normalize", "--n", "2", "--expr", "x1"],  # usage error: no --algebra
+        ["normalize", "--algebra", "dahca", "--n", "2", "--u", "1", "--expr", "y1*x1",
+         "--format", "json"],
+    )
+    reused = [_run_full(argv) for argv in session]
+    assert [r[0] for r in reused] == [0, 0, 2, 0]
+    for argv, got in zip(session, reused):
+        cli.build_parser.cache_clear()
+        assert _run_full(argv) == got, argv
 
 
 def test_cli_embedding_check():

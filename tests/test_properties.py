@@ -1,0 +1,49 @@
+"""Property tests: parser round trip and field axioms up to identity."""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from spinhecke import algebras as alg  # noqa: E402
+from spinhecke.engine import monomial_element, random_monomial  # noqa: E402
+from spinhecke.exprparse import parse_expression  # noqa: E402
+from spinhecke.render import element_str  # noqa: E402
+from spinhecke.scalars import ONE, QOmega, Scalar  # noqa: E402
+
+# Derandomized and without an example database, so a run is repeatable and
+# leaves no files behind.
+_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(name=st.sampled_from(alg.ALGEBRA_NAMES), seed=st.integers(0, 2**32 - 1))
+def test_render_parse_round_trip_of_products(name, seed):
+    sig = alg.by_name(name, 3)
+    rng = random.Random(seed)
+    a = monomial_element(sig, random_monomial(sig, rng, 2))
+    b = monomial_element(sig, random_monomial(sig, rng, 2))
+    e = a * b
+    assert parse_expression(element_str(e), sig) == e
+
+
+_fractions = st.fractions(-4, 4, max_denominator=3)
+_qomegas = st.builds(QOmega, _fractions, _fractions)
+_polys = st.lists(_qomegas, min_size=1, max_size=3).map(tuple)
+_scalars = st.builds(
+    lambda num, den: Scalar(num, den if any(den) else (QOmega(1),)),
+    _polys,
+    _polys,
+)
+
+
+@_SETTINGS
+@given(a=_scalars, b=_scalars, c=_scalars)
+def test_field_axioms_hold_as_identity(a, b, c):
+    assert (a + b) + c is a + (b + c)
+    assert a * b is b * a
+    assert a * (b + c) is a * b + a * c
+    if a:
+        assert a * (ONE / a) is ONE
