@@ -14,6 +14,12 @@ straightens the word by rightmost-innermost local rewrites.  Every rule
 either swaps an adjacent misordered pair (possibly with a sign) or replaces
 it by lower-degree correction terms, so the procedure terminates; the
 confluence suite checks independence of the result from association order.
+
+A right-letter power meeting the left slot is inserted in Horner order,
+r^k M = r (r^{k-1} M), so every (r^a, M) product is memoized once and the
+cross rules only see single letters r.  A letter r_i crosses a whole
+Laurent weight at once, r_i e^lam = e^lam r_i + [r_i, e^lam], with the
+closed geometric-sum commutator of :func:`trig_comm_word_terms`.
 """
 
 from __future__ import annotations
@@ -319,6 +325,10 @@ class AlgebraSignature:
         atoms = self.mono_atoms(mono)
         if not atoms or not _pair_reducible(self, atom, atoms[0]):
             out = {self.assemble((atom,) + atoms): ONE}
+        elif atom[0] == "R" and atom[2] > 1 and atoms[0][0] in ("L", "E"):
+            # Horner order, R^k M = R (R^{k-1} M): shares the (R^{k-1}, M) memo
+            i = atom[1]
+            out = self._insert_into(("R", i, 1), self._insert(("R", i, atom[2] - 1), mono))
         else:
             rest = self.assemble(atoms[1:])
             out = {}
@@ -598,24 +608,17 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
         psuf = st.compose(st.transposition(m, m + 1, sig.n), p)
         suffix = () if psuf == sig._id else (("G", psuf),)
         return [(c, w + suffix) for c, w in _affine_right_gen_words(sig, i, k, m)]
+    # Against L and E only k = 1 or k < 0 arrive here: _insert crosses a
+    # higher power one letter at a time.
     if kb == "E":
-        lam = B[1]
-        j0 = next(pos for pos, e in enumerate(lam) if e)
-        unit = [0] * sig.n
-        unit[j0] = 1 if lam[j0] > 0 else -1
-        unit = tuple(unit)
-        rest = tuple(a - b for a, b in zip(lam, unit))
-        head = ("R", i, k - 1)
-        out = [(ONE, _wd(head, ("E", unit), ("R", i, 1), ("E", rest)))]
-        for c, w in trig_comm_word_terms(sig, i, unit):
-            out.append((c, _wd(head) + w + _wd(("E", rest))))
-        return out
+        # r_i e^lam = e^lam r_i + [r_i, e^lam], the closed form for the whole weight
+        return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
     # kb == "L": the rational double affine cross relation
     j, l = B[1], B[2]
     if k > 0:
-        out = [(ONE, _wd(("R", i, k - 1), ("L", j, 1), ("R", i, 1), ("L", j, l - 1)))]
+        out = [(ONE, _wd(("L", j, 1), A, ("L", j, l - 1)))]
         for c, w in _bracket_words(sig, i, j):
-            out.append((c, _wd(("R", i, k - 1)) + w + _wd(("L", j, l - 1))))
+            out.append((c, w + _wd(("L", j, l - 1))))
         return out
     # negative (localized) powers: y^k x = y^{k+1} (x y^{-1} - y^{-1}[y,x]y^{-1})
     out = [(ONE, _wd(("R", i, k + 1), ("L", j, 1), ("R", i, -1), ("L", j, l - 1)))]

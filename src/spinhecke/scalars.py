@@ -492,10 +492,15 @@ W = Scalar.from_qomega(_QW)
 
 
 def add_term(acc: dict, key, val) -> None:
-    """acc[key] += val in a sparse map, dropping the key when it cancels."""
+    """acc[key] += val in a sparse map, dropping the key when it cancels.
+
+    Scalar zero is the one interned object ``ZERO``, so a Scalar is tested
+    by identity, without a Python-level ``__bool__`` call; other values
+    (the ints and ``QOmega`` of the Clifford model) by truth value.
+    """
     prev = acc.get(key)
     val = val if prev is None else prev + val
-    if val:
+    if val is not ZERO and (type(val) is Scalar or val):
         acc[key] = val
     elif key in acc:
         del acc[key]

@@ -258,3 +258,35 @@ def test_specialized_algebras_stay_free_of_u():
                     assert coeff.is_constant(), (name, u0, coeff)
                     checked += 1
     assert checked > 540
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize(
+    "factory, right, left",
+    [
+        (alg.dahca, "y", "x"),
+        (alg.sdaha, "y", "xi"),
+        (alg.trig_dahca, "epsv", "e"),
+        (alg.trig_sdaha, "zeta", "e"),
+    ],
+)
+def test_high_degree_power_products(factory, right, left, n):
+    # Y^k * X^l for 1 <= k, l <= 6 equals the right-nested y*(y*(...*X^l))
+    # and the left-nested ((Y^k*x)*x)..., well above the degree 3 that the
+    # confluence probe reaches; same index and different index
+    sig = factory(n)
+    y = generator_element(sig, (right, 1))
+    ys = [y**k for k in range(7)]
+    for j in (1, n):
+        x = generator_element(sig, (left, j))
+        xs = [x**l for l in range(7)]
+        for l in range(1, 7):
+            from_right = xs[l]
+            for k in range(1, 7):
+                from_right = y * from_right
+                assert from_right == ys[k] * xs[l], (k, l)
+        for k in range(1, 7):
+            from_left = ys[k]
+            for l in range(1, 7):
+                from_left = from_left * x
+                assert from_left == ys[k] * xs[l], (k, l)

@@ -16,6 +16,7 @@ from spinhecke.scalars import (
     PoleError,
     QOmega,
     Scalar,
+    add_term,
 )
 
 
@@ -203,3 +204,29 @@ def test_interning_across_threads():
     assert not any(t.is_alive() for t in threads)
     for built in zip(*results):
         assert all(s is built[0] for s in built)
+
+
+def test_add_term_drops_cancelled_keys():
+    # Scalar coefficients: a term that cancels leaves the map, others stay
+    acc = {}
+    add_term(acc, "a", U)
+    add_term(acc, "b", ONE)
+    add_term(acc, "a", -U)
+    assert acc == {"b": ONE}
+    add_term(acc, "c", ZERO)
+    assert "c" not in acc
+    add_term(acc, "b", W * W)  # 1 + (-2)
+    assert acc["b"] is Scalar.from_rational(-1)
+    # int coefficients, as in the integer Clifford model
+    ints = {}
+    add_term(ints, "a", 3)
+    add_term(ints, "b", 0)
+    add_term(ints, "a", -3)
+    assert ints == {}
+    add_term(ints, "a", -2)
+    assert ints == {"a": -2}
+    # QOmega coefficients, as in kappa_table
+    qs = {}
+    add_term(qs, "a", QOmega(1, 2))
+    add_term(qs, "a", QOmega(-1, -2))
+    assert qs == {}
