@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .engine import AlgebraSignature, Element, trig_comm_word_terms
+from .engine import AlgebraSignature, Element
 from .scalars import ONE, QOmega, Scalar
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "sdaha_yfirst",
     "specialize_u",
     "eta_instances",
-    "trig_comm_terms",
 ]
 
 ALGEBRA_NAMES = (
@@ -80,153 +79,140 @@ def _tc(coeff, *toks):
 # ---------------------------------------------------------------------------
 # Relation tables (token level)
 # ---------------------------------------------------------------------------
+#
+# Most defining relations share one shape, first*second = sign*second'*first,
+# built by _row.  Each builder below emits one family of such rows over all
+# index pairs; the per-algebra tables add their own Hecke and cross rows.
 
-def _coxeter_rels(sig, letter: str) -> list:
-    n = sig.n
-    rels = []
-    for i in range(1, n):
-        rels.append((f"{letter}{i}^2", [_t((letter, i), (letter, i))], [_t()]))
-    for i in range(1, n - 1):
-        rels.append(
-            (
-                f"braid[{letter}{i},{letter}{i+1}]",
-                [_t((letter, i), (letter, i + 1), (letter, i))],
-                [_t((letter, i + 1), (letter, i), (letter, i + 1))],
-            )
+_SHORT = {"epsv": "ev", "zeta": "z"}  # letters abbreviated in relation ids
+
+
+def _rid(kind: str, first: tuple, second: tuple) -> str:
+    a, b = (f"{_SHORT.get(tok[0], tok[0])}{tok[1]}" for tok in (first, second))
+    return f"{kind}[{a},{b}]"
+
+
+def _row(rel_id: str, first: tuple, second: tuple, sign=ONE, image=None) -> tuple:
+    """first*second = sign * image * first, where image defaults to second."""
+    return (rel_id, [_t(first, second)], [_tc(sign, image or second, first)])
+
+
+def _squares(letter: str, top: int) -> list:
+    return [(f"{letter}{i}^2", [_t((letter, i), (letter, i))], [_t()]) for i in range(1, top + 1)]
+
+
+def _like(n: int, v: str, sign=ONE) -> list:
+    """comm[v_i,v_j] (sign 1) or anti[v_i,v_j] (sign -1) for i < j."""
+    kind = "comm" if sign is ONE else "anti"
+    return [
+        _row(_rid(kind, (v, i), (v, j)), (v, i), (v, j), sign)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+
+
+def _conj(n: int, g: str, v: str, sign=ONE, moved_only: bool = False) -> list:
+    """conj[g_m,v_i]: g_m v_i = sign v_{s_m(i)} g_m, for every i or only i = m."""
+    rows = []
+    for m in range(1, n):
+        sm = {m: m + 1, m + 1: m}
+        for i in (m,) if moved_only else range(1, n + 1):
+            rows.append(_row(_rid("conj", (g, m), (v, i)), (g, m), (v, i), sign, (v, sm.get(i, i))))
+    return rows
+
+
+def _far(n: int, g: str, v: str, sign=ONE, letter_first: bool = False) -> list:
+    """comm/anti rows of g_m and v_i for i outside {m, m+1}, written g_m v_i
+    (or v_i g_m when ``letter_first``)."""
+    kind = "comm" if sign is ONE else "anti"
+    rows = []
+    for m in range(1, n):
+        for i in range(1, n + 1):
+            if i not in (m, m + 1):
+                a, b = ((v, i), (g, m)) if letter_first else ((g, m), (v, i))
+                rows.append(_row(_rid(kind, a, b), a, b, sign))
+    return rows
+
+
+def _cliff(n: int, v: str, diag=ONE, kind: str = "cliff") -> list:
+    """c_i v_j = s v_j c_i with s = diag when i = j and 1 otherwise."""
+    return [
+        _row(_rid(kind, ("c", i), (v, j)), ("c", i), (v, j), diag if i == j else ONE)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+
+
+def _hecke(n: int, v: str, kappa) -> list:
+    """hecke[v_{i+1},s_i]: v_{i+1} s_i - s_i v_i = kappa (1 - c_{i+1} c_i)."""
+    return [
+        (
+            _rid("hecke", (v, i + 1), ("s", i)),
+            [_t((v, i + 1), ("s", i)), _tc(_MINUS, ("s", i), (v, i))],
+            [_tc(kappa), _tc(-kappa, ("c", i + 1), ("c", i))],
         )
+        for i in range(1, n)
+    ]
+
+
+def _coxeter_rels(n: int, letter: str) -> list:
+    braids = [
+        (
+            f"braid[{letter}{i},{letter}{i+1}]",
+            [_t((letter, i), (letter, i + 1), (letter, i))],
+            [_t((letter, i + 1), (letter, i), (letter, i + 1))],
+        )
+        for i in range(1, n - 1)
+    ]
     sign = _MINUS if letter == "t" else ONE
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(
-                (
-                    f"far[{letter}{i},{letter}{j}]",
-                    [_t((letter, i), (letter, j))],
-                    [_tc(sign, (letter, j), (letter, i))],
-                )
-            )
-    return rels
+    far = [
+        _row(_rid("far", (letter, i), (letter, j)), (letter, i), (letter, j), sign)
+        for i in range(1, n)
+        for j in range(i + 2, n)
+    ]
+    return _squares(letter, n - 1) + braids + far
 
 
-def _clifford_rels(sig) -> list:
-    n = sig.n
-    rels = []
-    for i in range(1, n + 1):
-        rels.append((f"c{i}^2", [_t(("c", i), ("c", i))], [_t()]))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"anti[c{i},c{j}]", [_t(("c", i), ("c", j))], [_tc(_MINUS, ("c", j), ("c", i))])
-            )
-    for m in range(1, n):
-        sm = {m: m + 1, m + 1: m}
-        for i in range(1, n + 1):
-            rels.append(
-                (
-                    f"conj[s{m},c{i}]",
-                    [_t(("s", m), ("c", i))],
-                    [_t(("c", sm.get(i, i)), ("s", m))],
-                )
-            )
-    return rels
-
-
-def _even_poly_rels(sig, var: str) -> list:
-    """Commuting polynomial letters with S_n conjugation and Clifford signs."""
-    n = sig.n
-    rels = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"comm[{var}{i},{var}{j}]", [_t((var, i), (var, j))], [_t((var, j), (var, i))])
-            )
-    for m in range(1, n):
-        sm = {m: m + 1, m + 1: m}
-        for i in range(1, n + 1):
-            rels.append(
-                (
-                    f"conj[s{m},{var}{i}]",
-                    [_t(("s", m), (var, i))],
-                    [_t((var, sm.get(i, i)), ("s", m))],
-                )
-            )
-    flip = -1 if var == "x" else 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            sign = _MINUS if (i == j and flip < 0) else ONE
-            rels.append(
-                (
-                    f"cliff[c{i},{var}{j}]",
-                    [_t(("c", i), (var, j))],
-                    [_tc(sign, (var, j), ("c", i))],
-                )
-            )
-    return rels
+def _clifford_rels(n: int) -> list:
+    """c_i^2 = 1 and anti[c_i,c_j]."""
+    return _squares("c", n) + _like(n, "c", _MINUS)
 
 
 def _relations_sym(sig) -> list:
-    return _coxeter_rels(sig, "s")
+    return _coxeter_rels(sig.n, "s")
 
 
 def _relations_clifford_sym(sig) -> list:
-    return _coxeter_rels(sig, "s") + _clifford_rels(sig)
+    n = sig.n
+    return _coxeter_rels(n, "s") + _clifford_rels(n) + _conj(n, "s", "c")
 
 
 def _relations_spin_sym(sig) -> list:
-    return _coxeter_rels(sig, "t")
+    return _coxeter_rels(sig.n, "t")
 
 
 def _relations_affine_hc(sig) -> list:
     n = sig.n
-    rels = _relations_clifford_sym(sig)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append((f"comm[a{i},a{j}]", [_t(("a", i), ("a", j))], [_t(("a", j), ("a", i))]))
-    for i in range(1, n):
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            rels.append((f"comm[a{j},s{i}]", [_t(("a", j), ("s", i))], [_t(("s", i), ("a", j))]))
-    for i in range(1, n):
-        rels.append(
-            (
-                f"hecke[a{i+1},s{i}]",
-                [_t(("a", i + 1), ("s", i)), _tc(_MINUS, ("s", i), ("a", i))],
-                [_t(), _tc(_MINUS, ("c", i + 1), ("c", i))],
-            )
-        )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            sign = _MINUS if i == j else ONE
-            rels.append(
-                (f"cliff[c{j},a{i}]", [_t(("c", j), ("a", i))], [_tc(sign, ("a", i), ("c", j))])
-            )
-    return rels
+    return (
+        _relations_clifford_sym(sig)
+        + _like(n, "a")
+        + _far(n, "s", "a", letter_first=True)
+        + _hecke(n, "a", ONE)
+        + _cliff(n, "a", _MINUS)
+    )
 
 
 def _relations_spin_affine(sig) -> list:
     n = sig.n
-    rels = _relations_spin_sym(sig)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"anti[b{i},b{j}]", [_t(("b", i), ("b", j))], [_tc(_MINUS, ("b", j), ("b", i))])
-            )
-    for i in range(1, n):
-        rels.append(
-            (
-                f"hecke[b{i+1},t{i}]",
-                [_t(("b", i + 1), ("t", i))],
-                [_tc(_MINUS, ("t", i), ("b", i)), _t()],
-            )
+    hecke = [
+        (
+            f"hecke[b{i+1},t{i}]",
+            [_t(("b", i + 1), ("t", i))],
+            [_tc(_MINUS, ("t", i), ("b", i)), _t()],
         )
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            if i in (j, j + 1):
-                continue
-            rels.append(
-                (f"anti[t{j},b{i}]", [_t(("t", j), ("b", i))], [_tc(_MINUS, ("b", i), ("t", j))])
-            )
-    return rels
+        for i in range(1, n)
+    ]
+    return _coxeter_rels(n, "t") + _like(n, "b", _MINUS) + hecke + _far(n, "t", "b", _MINUS)
 
 
 def _xy_cross_rels(sig) -> list:
@@ -235,81 +221,42 @@ def _xy_cross_rels(sig) -> list:
     rels = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            rels.append(
-                (
-                    f"cross[y{j},x{i}]",
-                    [_t(("y", j), ("x", i)), _tc(_MINUS, ("x", i), ("y", j))],
-                    [
-                        _tc(u, ("sij", i, j)),
-                        _tc(u, ("c", j), ("c", i), ("sij", i, j)),
-                    ],
-                )
-            )
-    for i in range(1, n + 1):
-        rhs = []
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            rhs.append(_tc(-u, ("sij", k, i)))
-            rhs.append(_tc(-u, ("c", k), ("c", i), ("sij", k, i)))
-        rels.append(
-            (
-                f"cross[y{i},x{i}]",
-                [_t(("y", i), ("x", i)), _tc(_MINUS, ("x", i), ("y", i))],
-                rhs,
-            )
-        )
+            if i != j:
+                rhs = [_tc(u, ("sij", i, j)), _tc(u, ("c", j), ("c", i), ("sij", i, j))]
+            else:
+                rhs = []
+                for k in range(1, n + 1):
+                    if k != i:
+                        rhs += [_tc(-u, ("sij", k, i)), _tc(-u, ("c", k), ("c", i), ("sij", k, i))]
+            lhs = [_t(("y", j), ("x", i)), _tc(_MINUS, ("x", i), ("y", j))]
+            rels.append((f"cross[y{j},x{i}]", lhs, rhs))
     return rels
 
 
 def _relations_dahca(sig) -> list:
-    return _relations_clifford_sym(sig) + _even_poly_rels(sig, "x") + _even_poly_rels(sig, "y") + _xy_cross_rels(sig)
+    n = sig.n
+    return (
+        _relations_clifford_sym(sig)
+        + _like(n, "x") + _conj(n, "s", "x") + _cliff(n, "x", _MINUS)
+        + _like(n, "y") + _conj(n, "s", "y") + _cliff(n, "y")
+        + _xy_cross_rels(sig)
+    )
 
 
 def _relations_sdaha(sig) -> list:
     n, u = sig.n, sig.u_scalar
-    rels = _relations_spin_sym(sig)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"anti[xi{i},xi{j}]", [_t(("xi", i), ("xi", j))], [_tc(_MINUS, ("xi", j), ("xi", i))])
-            )
-            rels.append((f"comm[y{i},y{j}]", [_t(("y", i), ("y", j))], [_t(("y", j), ("y", i))]))
-    for i in range(1, n):
-        rels.append(
-            (f"conj[t{i},xi{i}]", [_t(("t", i), ("xi", i))], [_tc(_MINUS, ("xi", i + 1), ("t", i))])
-        )
-        rels.append((f"conj[t{i},y{i}]", [_t(("t", i), ("y", i))], [_t(("y", i + 1), ("t", i))]))
-    for j in range(1, n):
-        for i in range(1, n + 1):
-            if i in (j, j + 1):
-                continue
-            rels.append(
-                (f"anti[t{j},xi{i}]", [_t(("t", j), ("xi", i))], [_tc(_MINUS, ("xi", i), ("t", j))])
-            )
-            rels.append((f"comm[t{j},y{i}]", [_t(("t", j), ("y", i))], [_t(("y", i), ("t", j))]))
+    rels = (
+        _coxeter_rels(n, "t")
+        + _like(n, "xi", _MINUS)
+        + _conj(n, "t", "xi", _MINUS, moved_only=True)
+        + _far(n, "t", "xi", _MINUS)
+        + _like(n, "y") + _conj(n, "t", "y", moved_only=True) + _far(n, "t", "y")
+    )
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            rels.append(
-                (
-                    f"cross[y{i},xi{j}]",
-                    [_t(("y", i), ("xi", j)), _tc(_MINUS, ("xi", j), ("y", i))],
-                    [_tc(u, ("oddtr", i, j))],
-                )
-            )
-    for i in range(1, n + 1):
-        rhs = [_tc(u, ("oddtr", i, k)) for k in range(1, n + 1) if k != i]
-        rels.append(
-            (
-                f"cross[y{i},xi{i}]",
-                [_t(("y", i), ("xi", i)), _tc(_MINUS, ("xi", i), ("y", i))],
-                rhs,
-            )
-        )
+            ks = [k for k in range(1, n + 1) if k != i] if i == j else [j]
+            lhs = [_t(("y", i), ("xi", j)), _tc(_MINUS, ("xi", j), ("y", i))]
+            rels.append((f"cross[y{i},xi{j}]", lhs, [_tc(u, ("oddtr", i, k)) for k in ks]))
     return rels
 
 
@@ -343,125 +290,91 @@ def eta_instances(n: int) -> list:
     return etas
 
 
-def trig_comm_terms(sig, i: int, eta: tuple) -> list:
-    """Token form of the closed commutator [r_i, e^eta] (right side of the
-    defining relation), shared by the relation table and the CLI."""
+def _divide_one_minus(num: dict, delta: tuple) -> dict:
+    """The quotient of a Laurent polynomial {weight: int} by 1 - e^delta, by
+    long division from its lowest term along delta; the division must be exact."""
+    num, quot = dict(num), {}
+    while num:
+        w = min(num, key=lambda v: sum(a * b for a, b in zip(v, delta)))
+        c = quot[w] = num.pop(w)
+        up = tuple(a + b for a, b in zip(w, delta))
+        rest = num.pop(up, 0) + c
+        if rest:
+            num[up] = rest
+    return quot
+
+
+def _eta_rhs(sig, i: int, eta: tuple) -> list:
+    """[r_i, e^eta] as token terms: u sum_{k != i} sign_k Q_k T_ki, with
+    Q_k = (e^eta - e^{s_ik eta}) / (1 - e^delta), delta = eps_k - eps_i and
+    sign +1 when k > i, delta = eps_i - eps_k and sign -1 when k < i, and
+    T_ki = (1 - c_i c_k) s_ki, or the odd transposition [k, i] in the spin
+    algebra.  Computed here by division, apart from the engine's rewriting."""
+    n, u = sig.n, sig.u_scalar
     out = []
-    for coeff, word in trig_comm_word_terms(sig, i, tuple(eta)):
-        toks = []
-        for atom in word:
-            if atom[0] == "E":
-                toks.append(("E", atom[1]))
-            elif atom[0] == "G":
-                toks.append(("perm", atom[1]))
+    for k in range(1, n + 1):
+        if k == i or eta[i - 1] == eta[k - 1]:
+            continue
+        swapped = list(eta)
+        swapped[i - 1], swapped[k - 1] = eta[k - 1], eta[i - 1]
+        lo, hi = min(i, k), max(i, k)
+        delta = tuple(1 if m == hi else -1 if m == lo else 0 for m in range(1, n + 1))
+        quot = _divide_one_minus({tuple(eta): 1, tuple(swapped): -1}, delta)
+        for w, c in quot.items():
+            coeff = Scalar.from_rational(c if k > i else -c) * u
+            if sig.spin:
+                out.append(_tc(coeff, ("E", w), ("oddtr", k, i)))
             else:
-                toks.extend(("c", m) for m, bit in enumerate(atom[1], start=1) if bit)
-        out.append((coeff, tuple(toks)))
+                out.append(_tc(coeff, ("E", w), ("sij", k, i)))
+                out.append(_tc(-coeff, ("E", w), ("c", i), ("c", k), ("sij", k, i)))
     return out
 
 
-def _e_block_rels(sig, letter: str) -> list:
-    n = sig.n
-    rels = []
-    for i in range(1, n + 1):
-        rels.append((f"unit[e{i}]", [_t(("e", i), ("einv", i))], [_t()]))
-        for j in range(i + 1, n + 1):
-            rels.append((f"comm[e{i},e{j}]", [_t(("e", i), ("e", j))], [_t(("e", j), ("e", i))]))
-    for m in range(1, n):
-        sm = {m: m + 1, m + 1: m}
-        for i in range(1, n + 1):
-            rels.append(
-                (
-                    f"conj[{letter}{m},e{i}]",
-                    [_t((letter, m), ("e", i))],
-                    [_t(("e", sm.get(i, i)), (letter, m))],
-                )
-            )
+def _trig_rels(sig) -> list:
+    """The Laurent block of a trigonometric algebra: e_i e_i^-1 = 1, the e's
+    commute, are permuted by the group and commute with the c's, and the
+    defining commutators eta[r_i, e^eta] for the weights of eta_instances."""
+    n, g, r = sig.n, "t" if sig.spin else "s", sig.right_var
+    rels = [(f"unit[e{i}]", [_t(("e", i), ("einv", i))], [_t()]) for i in range(1, n + 1)]
+    rels += _like(n, "e") + _conj(n, g, "e")
     if sig.has_clifford:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rels.append(
-                    (f"comm[c{j},e{i}]", [_t(("c", j), ("e", i))], [_t(("e", i), ("c", j))])
-                )
+        rels += _cliff(n, "e", kind="comm")
+    for i in range(1, n + 1):
+        for eta in eta_instances(n):
+            lhs = [_t((r, i), ("E", eta)), _tc(_MINUS, ("E", eta), (r, i))]
+            rels.append((f"eta[{_SHORT[r]}{i},{eta}]", lhs, _eta_rhs(sig, i, eta)))
     return rels
 
 
 def _relations_trig_dahca(sig) -> list:
-    n, u = sig.n, sig.u_scalar
-    rels = _relations_clifford_sym(sig) + _e_block_rels(sig, "s")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"comm[ev{i},ev{j}]", [_t(("epsv", i), ("epsv", j))], [_t(("epsv", j), ("epsv", i))])
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            sign = _MINUS if i == j else ONE
-            rels.append(
-                (
-                    f"cliff[c{j},ev{i}]",
-                    [_t(("c", j), ("epsv", i))],
-                    [_tc(sign, ("epsv", i), ("c", j))],
-                )
-            )
-    for i in range(1, n):
-        rels.append(
-            (
-                f"hecke[ev{i+1},s{i}]",
-                [_t(("epsv", i + 1), ("s", i)), _tc(_MINUS, ("s", i), ("epsv", i))],
-                [_tc(u), _tc(-u, ("c", i + 1), ("c", i))],
-            )
-        )
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            rels.append(
-                (f"comm[ev{j},s{i}]", [_t(("epsv", j), ("s", i))], [_t(("s", i), ("epsv", j))])
-            )
-    for i in range(1, n + 1):
-        for eta in eta_instances(n):
-            rels.append(
-                (
-                    f"eta[ev{i},{eta}]",
-                    [_t(("epsv", i), ("E", eta)), _tc(_MINUS, ("E", eta), ("epsv", i))],
-                    trig_comm_terms(sig, i, eta),
-                )
-            )
-    return rels
+    n = sig.n
+    return (
+        _relations_clifford_sym(sig)
+        + _trig_rels(sig)
+        + _like(n, "epsv")
+        + _cliff(n, "epsv", _MINUS)
+        + _hecke(n, "epsv", sig.u_scalar)
+        + _far(n, "s", "epsv", letter_first=True)
+    )
 
 
 def _relations_trig_sdaha(sig) -> list:
     n, u = sig.n, sig.u_scalar
-    rels = _relations_spin_sym(sig) + _e_block_rels(sig, "t")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rels.append(
-                (f"anti[z{i},z{j}]", [_t(("zeta", i), ("zeta", j))], [_tc(_MINUS, ("zeta", j), ("zeta", i))])
-            )
-    for i in range(1, n):
-        rels.append(
-            (
-                f"hecke[z{i+1},t{i}]",
-                [_t(("zeta", i + 1), ("t", i)), _t(("t", i), ("zeta", i))],
-                [_tc(u)],
-            )
+    hecke = [
+        (
+            f"hecke[z{i+1},t{i}]",
+            [_t(("zeta", i + 1), ("t", i)), _t(("t", i), ("zeta", i))],
+            [_tc(u)],
         )
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            rels.append(
-                (f"anti[z{j},t{i}]", [_t(("zeta", j), ("t", i))], [_tc(_MINUS, ("t", i), ("zeta", j))])
-            )
-    for i in range(1, n + 1):
-        for eta in eta_instances(n):
-            rels.append(
-                (
-                    f"eta[z{i},{eta}]",
-                    [_t(("zeta", i), ("E", eta)), _tc(_MINUS, ("E", eta), ("zeta", i))],
-                    trig_comm_terms(sig, i, eta),
-                )
-            )
-    return rels
+        for i in range(1, n)
+    ]
+    return (
+        _coxeter_rels(n, "t")
+        + _trig_rels(sig)
+        + _like(n, "zeta", _MINUS)
+        + hecke
+        + _far(n, "t", "zeta", _MINUS, letter_first=True)
+    )
 
 
 _RELATION_BUILDERS = {

@@ -114,10 +114,11 @@ def _cmd_verify_morphisms(args) -> int:
 def _cmd_verify_modules(args) -> int:
     if args.degree_bound < 0:
         raise ValueError(f"--degree-bound must be non-negative, got {args.degree_bound}")
-    family = args.algebra.lower()
+    family = args.algebra
+    module = "regular-spin" if family == "sdaha" else "basic-spin"
+    if args.module not in (None, module):
+        raise AlgebraError(f"{family} needs --module {module}")
     W = dk.regular_spin(args.n) if family == "sdaha" else dk.basic_spin(args.n)
-    if args.module:
-        W = dk.basic_spin(args.n) if args.module == "basic-spin" else dk.regular_spin(args.n)
     report = dk.verify_module(family, W, args.degree_bound)
     report.extend(dk.oracle_equivalence(family, W, args.degree_bound))
     return _finish_report(args, "verify-modules", family, args.n, report)

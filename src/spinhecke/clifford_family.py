@@ -6,11 +6,18 @@ and identity suites."""
 from __future__ import annotations
 
 from . import algebras as alg
-from .engine import AlgebraError, Element, bracket, element_from_terms, generator_element
-from .morphisms import Morphism, check_homomorphism, _images
+from .engine import (
+    AlgebraError,
+    Element,
+    bracket,
+    element_from_terms,
+    generator_element,
+    trig_comm_word_terms,
+)
+from .morphisms import Morphism, _images, _jm_terms, check_homomorphism
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, add_term
 
 __all__ = [
     "jucys_murphy",
@@ -31,11 +38,7 @@ def jucys_murphy(i: int, sig) -> Element:
     """M_i = sum_{k<i} (1 - c_i c_k) s_{ki}; M_1 = 0."""
     if not 1 <= i <= sig.n:
         raise AlgebraError(f"Jucys-Murphy index {i} out of range 1..{sig.n}")
-    terms = []
-    for k in range(1, i):
-        terms.append((ONE, (("sij", k, i),)))
-        terms.append((-ONE, (("c", i), ("c", k), ("sij", k, i))))
-    return element_from_terms(sig, terms)
+    return element_from_terms(sig, _jm_terms(False, i))
 
 
 def _u_inverse(sig) -> Scalar:
@@ -145,7 +148,11 @@ def trig_commutator(i: int, eta, sig) -> Element:
         raise AlgebraError(f"index {i} out of range 1..{sig.n}")
     if not sig.left_laurent:
         raise AlgebraError("trig_commutator lives in a trigonometric algebra")
-    return element_from_terms(sig, alg.trig_comm_terms(sig, i, tuple(eta)))
+    out: dict = {}
+    for coeff, word in trig_comm_word_terms(sig, i, tuple(eta)):
+        for m, c in sig.normalize(word).items():
+            add_term(out, m, coeff * c)
+    return Element(sig, out)
 
 
 def trig_affine_subalgebra_check(n: int) -> Report:

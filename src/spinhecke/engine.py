@@ -241,6 +241,44 @@ class AlgebraSignature:
                 toks += [("yinv", i)] * (-e)
         return tuple(toks)
 
+    # -- text ------------------------------------------------------------------
+
+    def mono_str(self, m: tuple) -> str:
+        """Canonical text of a basis monomial, in PBW slot order.  Group
+        elements are transposition products (``s13``) in the even algebras
+        and canonical reduced words (``t1*t2*t1``) in the spin ones; both
+        reparse to the same basis element."""
+        left, grp, cliff, right = m
+        pieces = []
+        if self.left_laurent:
+            for i, e in enumerate(left, start=1):
+                if e > 0:
+                    pieces.append(_idx_pow(f"e({i})", e))
+                elif e < 0:
+                    pieces.append(_idx_pow(f"einv({i})", -e))
+        elif self.left_var:
+            for i, e in enumerate(left, start=1):
+                if e:
+                    pieces.append(_idx_pow(f"{self.left_var}{i}", e))
+        if grp != self._id:
+            pieces.append(_spin_group_str(grp) if self.spin else _plain_group_str(grp))
+        for i, bit in enumerate(cliff, start=1):
+            if bit:
+                pieces.append(f"c{i}")
+        if self.right_var:
+            name = self.right_var
+            call = name in ("epsv", "zeta")
+            for i, e in enumerate(right, start=1):
+                if e:
+                    base = f"{name}({i})" if call else f"{name}{i}"
+                    pieces.append(_idx_pow(base, e))
+        return "*".join(pieces) if pieces else "1"
+
+    def sort_key(self, m: tuple):
+        """Terms print by falling polynomial degree, then by monomial."""
+        left, _, _, right = m
+        return (-(sum(abs(e) for e in left) + sum(abs(e) for e in right)), m)
+
     # -- relations ------------------------------------------------------------
 
     def relations(self) -> list:
@@ -345,6 +383,28 @@ class AlgebraSignature:
 
     def __repr__(self) -> str:
         return f"<{self.name} n={self.n}>"
+
+
+def _idx_pow(base: str, e: int) -> str:
+    return base if e == 1 else f"{base}^{e}"
+
+
+def _plain_group_str(p: tuple) -> str:
+    n = len(p)
+    q = list(p)
+    factors = []
+    while True:
+        m = max((i for i in range(1, n + 1) if q[i - 1] != i), default=0)
+        if not m:
+            break
+        k = q.index(m) + 1
+        factors.append(f"s{k}{m}" if m <= 9 else f"s({k},{m})")
+        q[k - 1], q[m - 1] = q[m - 1], q[k - 1]
+    return "*".join(reversed(factors))
+
+
+def _spin_group_str(p: tuple) -> str:
+    return "*".join(f"t{i}" for i in st.lehmer_word(p))
 
 
 # ---------------------------------------------------------------------------
@@ -809,15 +869,22 @@ def super_bracket(a: Element, b: Element, plus: bool | None = None) -> Element:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def verify_relations(sig) -> Report:
-    """Normalize LHS - RHS of every defining relation instance."""
+def check_relations(title: str, relations, evaluate) -> Report:
+    """Evaluate both sides of every (id, lhs, rhs) relation; the difference
+    must vanish.  Shared by the relation and the homomorphism checks."""
     from .render import element_str
 
-    report = Report(f"relations[{sig.name}, n={sig.n}]")
-    for rel_id, lhs, rhs in sig.relations():
-        diff = element_from_terms(sig, lhs) - element_from_terms(sig, rhs)
+    report = Report(title)
+    for rel_id, lhs, rhs in relations:
+        diff = evaluate(lhs) - evaluate(rhs)
         report.add(rel_id, diff.is_zero, None if diff.is_zero else element_str(diff))
     return report
+
+
+def verify_relations(sig) -> Report:
+    """Normalize LHS - RHS of every defining relation instance."""
+    title = f"relations[{sig.name}, n={sig.n}]"
+    return check_relations(title, sig.relations(), lambda terms: element_from_terms(sig, terms))
 
 
 def random_monomial(sig, rng: Random, degree_bound: int) -> tuple:
@@ -850,8 +917,6 @@ def random_monomial(sig, rng: Random, degree_bound: int) -> tuple:
 
 def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:
     """Random associativity and re-normalization idempotence probes."""
-    from .render import mono_str
-
     rng = Random(seed)
     report = Report(f"confluence[{sig.name}, n={sig.n}]")
     for trial in range(trials):
@@ -865,12 +930,12 @@ def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:
         report.add(
             f"assoc[{trial:04d}]",
             ok,
-            None if ok else f"({mono_str(sig, a)})({mono_str(sig, b)})({mono_str(sig, c)})",
+            None if ok else f"({sig.mono_str(a)})({sig.mono_str(b)})({sig.mono_str(c)})",
         )
         again = {}
         for m, coeff in left.terms.items():
             for m2, c2 in sig.normalize(sig.mono_atoms(m)).items():
                 add_term(again, m2, coeff * c2)
         ok2 = Element(sig, again) == left
-        report.add(f"idem[{trial:04d}]", ok2, None if ok2 else mono_str(sig, a))
+        report.add(f"idem[{trial:04d}]", ok2, None if ok2 else sig.mono_str(a))
     return report

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from . import algebras as alg
 from . import structure as st
-from .engine import AlgebraError, Element, element_from_terms, generator_element
-from .render import element_str, mono_str
+from .engine import AlgebraError, Element, check_relations, element_from_terms, generator_element
+from .render import element_str
 from .reports import Report
 from .scalars import ONE, Scalar, W, add_term
 
@@ -46,7 +46,7 @@ class TensorSignature:
 
     Monomials are pairs ``(bits, inner_mono)``; the Clifford factor sits on
     the left.  The signature quacks like :class:`AlgebraSignature` as far as
-    :class:`Element` is concerned.
+    :class:`Element` and :mod:`spinhecke.render` are concerned.
     """
 
     def __init__(self, inner):
@@ -133,35 +133,18 @@ class TensorSignature:
         return out
 
     def relations(self):
-        rels = []
         n = self.n
-        for i in range(1, n + 1):
-            rels.append((f"c{i}^2", [(ONE, (("c", i), ("c", i)))], [(ONE, ())]))
-            for j in range(i + 1, n + 1):
-                rels.append(
-                    (
-                        f"anti[c{i},c{j}]",
-                        [(ONE, (("c", i), ("c", j)))],
-                        [(-ONE, (("c", j), ("c", i)))],
-                    )
-                )
+        rels = alg._clifford_rels(n)
         for g in self.inner.generator_tokens():
             sgn = -ONE if g[0] in _ODD_TOKENS else ONE
             for i in range(1, n + 1):
-                rels.append(
-                    (
-                        f"koszul[c{i},{g[0]}{g[1]}]",
-                        [(ONE, (("c", i), g))],
-                        [(sgn, (g, ("c", i)))],
-                    )
-                )
-        rels.extend(self.inner.relations())
-        return rels
+                rels.append(alg._row(f"koszul[c{i},{g[0]}{g[1]}]", ("c", i), g, sgn))
+        return rels + self.inner.relations()
 
     def mono_str(self, m) -> str:
         bits, im = m
         pieces = [f"c{i}" for i, bit in enumerate(bits, start=1) if bit]
-        inner = mono_str(self.inner, im)
+        inner = self.inner.mono_str(im)
         if inner != "1":
             pieces.append(inner)
         return "*".join(pieces) if pieces else "1"
@@ -230,13 +213,7 @@ def apply_morphism(m: Morphism, a: Element) -> Element:
     """Linear, multiplicative extension of the generator images."""
     if a.sig is not m.source:
         raise AlgebraError(f"element is not in the source of {m.name}")
-    out = Element.zero(m.target)
-    for mono, coeff in a.terms.items():
-        img = Element.one(m.target)
-        for tok in m.source.mono_tokens(mono):
-            img = img * m.image_of(tok)
-        out = out + img.scale(coeff)
-    return out
+    return _apply_to_terms(m, [(c, m.source.mono_tokens(mono)) for mono, c in a.terms.items()])
 
 
 def _apply_to_terms(m: Morphism, terms) -> Element:
@@ -256,29 +233,22 @@ def _apply_to_terms(m: Morphism, terms) -> Element:
 def check_homomorphism(m: Morphism) -> Report:
     """Map each defining source relation as a free word; the image of
     LHS - RHS must normalize to zero in the target."""
-    report = Report(f"hom[{m.name}, n={m.source.n}]")
-    for rel_id, lhs, rhs in m.source.relations():
-        diff = _apply_to_terms(m, lhs) - _apply_to_terms(m, rhs)
-        report.add(rel_id, diff.is_zero, None if diff.is_zero else element_str(diff))
-    return report
+    title = f"hom[{m.name}, n={m.source.n}]"
+    return check_relations(title, m.source.relations(), lambda terms: _apply_to_terms(m, terms))
 
 
 def check_inverse_pair(f: Morphism, g: Morphism, f_back: Morphism | None = None) -> Report:
     """g(f(x)) = x on f's generators and f(g(y)) = y on g's; ``f_back``
     substitutes for f on the return trip when g lands in an extension of
     f's source (the localized algebras)."""
-    fb = f_back if f_back is not None else f
     report = Report(f"inverse[{f.name},{g.name}]")
-    for tok in f.source.generator_tokens():
-        expected = generator_element(g.target, tok)
-        got = apply_morphism(g, apply_morphism(f, generator_element(f.source, tok)))
-        ok = got == expected
-        report.add(f"{g.name}o{f.name}[{tok[0]}{tok[1]}]", ok, None if ok else element_str(got))
-    for tok in g.source.generator_tokens():
-        expected = generator_element(fb.target, tok)
-        got = apply_morphism(fb, apply_morphism(g, generator_element(g.source, tok)))
-        ok = got == expected
-        report.add(f"{fb.name}o{g.name}[{tok[0]}{tok[1]}]", ok, None if ok else element_str(got))
+    for first, second in ((f, g), (g, f_back or f)):
+        for tok in first.source.generator_tokens():
+            expected = generator_element(second.target, tok)
+            got = apply_morphism(second, apply_morphism(first, generator_element(first.source, tok)))
+            ok = got == expected
+            label = f"{second.name}o{first.name}[{tok[0]}{tok[1]}]"
+            report.add(label, ok, None if ok else element_str(got))
     return report
 
 
@@ -331,66 +301,60 @@ def _mirror_morphism(name: str, n: int) -> Morphism:
     return Morphism(name, src, tgt, _images(tgt, table))
 
 
+def _jm_terms(spin: bool, i: int) -> list:
+    """The Jucys-Murphy element M_i as token terms: sum_{k<i} (1 - c_i c_k) s_ki,
+    or sum_{k<i} [k, i] in the spin tower."""
+    if spin:
+        return [(ONE, (("oddtr", k, i),)) for k in range(1, i)]
+    out = []
+    for k in range(1, i):
+        out += [(ONE, (("sij", k, i),)), (-ONE, (("c", i), ("c", k), ("sij", k, i)))]
+    return out
+
+
+# Iota: rational -> trigonometric, J: trigonometric -> localized rational, and
+# the spin tower's IotaMinus/JMinus, as (source, target).  The Loc variants
+# start from the localized algebra.
+_TRIG_MAPS = {
+    "Iota": (alg.dahca, alg.trig_dahca),
+    "IotaLoc": (alg.dahca_localized, alg.trig_dahca),
+    "J": (alg.trig_dahca, alg.dahca_localized),
+    "IotaMinus": (alg.sdaha, alg.trig_sdaha),
+    "IotaMinusLoc": (alg.sdaha_localized, alg.trig_sdaha),
+    "JMinus": (alg.trig_sdaha, alg.sdaha_localized),
+}
+
+
+def _trig_morphism(name: str, n: int) -> Morphism:
+    """Iota sends y_i^{+-1} to e_i^{+-1} and x_i to e_i^-1 (epsv_i - u M_i); J
+    sends e_i^{+-1} to y_i^{+-1} and epsv_i to y_i x_i + u M_i.  In the spin
+    tower xi, zeta and the odd M_i take the places of x, epsv and M_i."""
+    src, tgt = (make(n) for make in _TRIG_MAPS[name])
+    iota = tgt.left_laurent
+    rat, trig = (src, tgt) if iota else (tgt, src)
+    p, r, u = rat.left_var, trig.right_var, tgt.u_scalar
+    table = {tok: [(ONE, (tok,))] for tok in tgt.generator_tokens() if tok[0] in ("c", "s", "t")}
+    for i in range(1, n + 1):
+        jm = _jm_terms(src.spin, i)
+        if iota:
+            table[("y", i)] = [(ONE, (("e", i),))]
+            table[(p, i)] = [(ONE, (("einv", i), (r, i)))]
+            table[(p, i)] += [(-u * c, (("einv", i),) + w) for c, w in jm]
+            if src.right_laurent:
+                table[("yinv", i)] = [(ONE, (("einv", i),))]
+        else:
+            table[("e", i)] = [(ONE, (("y", i),))]
+            table[("einv", i)] = [(ONE, (("yinv", i),))]
+            table[(r, i)] = [(ONE, (("y", i), (p, i)))] + [(u * c, w) for c, w in jm]
+    return Morphism(name, src, tgt, _images(tgt, table))
+
+
 @lru_cache(maxsize=None)
 def named_morphism(name: str, n: int) -> Morphism:
     if name[:3] in ("Phi", "Psi") and name[3:] in _MIRROR_PAIRS:
         return _mirror_morphism(name, n)
-    if name in ("Iota", "IotaLoc"):
-        src = alg.dahca(n) if name == "Iota" else alg.dahca_localized(n)
-        tgt = alg.trig_dahca(n)
-        u = tgt.u_scalar
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("s", i): [(ONE, (("s", i),))] for i in range(1, n)})
-        for i in range(1, n + 1):
-            table[("y", i)] = [(ONE, (("e", i),))]
-            terms = [(ONE, (("einv", i), ("epsv", i)))]
-            for k in range(1, i):
-                terms.append((-u, (("einv", i), ("sij", k, i))))
-                terms.append((u, (("einv", i), ("c", i), ("c", k), ("sij", k, i))))
-            table[("x", i)] = terms
-            if name == "IotaLoc":
-                table[("yinv", i)] = [(ONE, (("einv", i),))]
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "J":
-        src, tgt = alg.trig_dahca(n), alg.dahca_localized(n)
-        u = tgt.u_scalar
-        table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-        table.update({("s", i): [(ONE, (("s", i),))] for i in range(1, n)})
-        for i in range(1, n + 1):
-            table[("e", i)] = [(ONE, (("y", i),))]
-            table[("einv", i)] = [(ONE, (("yinv", i),))]
-            terms = [(ONE, (("y", i), ("x", i)))]
-            for k in range(1, i):
-                terms.append((u, (("sij", k, i),)))
-                terms.append((-u, (("c", i), ("c", k), ("sij", k, i))))
-            table[("epsv", i)] = terms
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name in ("IotaMinus", "IotaMinusLoc"):
-        src = alg.sdaha(n) if name == "IotaMinus" else alg.sdaha_localized(n)
-        tgt = alg.trig_sdaha(n)
-        u = tgt.u_scalar
-        table = {("t", i): [(ONE, (("t", i),))] for i in range(1, n)}
-        for i in range(1, n + 1):
-            table[("y", i)] = [(ONE, (("e", i),))]
-            terms = [(ONE, (("einv", i), ("zeta", i)))]
-            for k in range(1, i):
-                terms.append((-u, (("einv", i), ("oddtr", k, i))))
-            table[("xi", i)] = terms
-            if name == "IotaMinusLoc":
-                table[("yinv", i)] = [(ONE, (("einv", i),))]
-        return Morphism(name, src, tgt, _images(tgt, table))
-    if name == "JMinus":
-        src, tgt = alg.trig_sdaha(n), alg.sdaha_localized(n)
-        u = tgt.u_scalar
-        table = {("t", i): [(ONE, (("t", i),))] for i in range(1, n)}
-        for i in range(1, n + 1):
-            table[("e", i)] = [(ONE, (("y", i),))]
-            table[("einv", i)] = [(ONE, (("yinv", i),))]
-            terms = [(ONE, (("y", i), ("xi", i)))]
-            for k in range(1, i):
-                terms.append((u, (("oddtr", k, i),)))
-            table[("zeta", i)] = terms
-        return Morphism(name, src, tgt, _images(tgt, table))
+    if name in _TRIG_MAPS:
+        return _trig_morphism(name, n)
     raise ValueError(f"unknown morphism {name!r}")
 
 

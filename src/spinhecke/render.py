@@ -1,82 +1,17 @@
 """Canonical text and JSON forms for monomials and elements.
 
-Rendering mirrors the PBW slot order exactly, so textual equality of
-canonical forms coincides with equality of elements.  Group elements are
-written as transposition products (``s13``) in the even algebras and as the
-canonical reduced word (``t1*t2*t1``) in the spin ones; both reparse to the
-same basis element.
+Every signature class provides ``mono_str(m)``, the text of one basis
+monomial, and ``sort_key(m)``, the order of terms in an element; see
+:meth:`spinhecke.engine.AlgebraSignature.mono_str`.
 """
 
 from __future__ import annotations
 
-from . import structure as st
-
-__all__ = ["mono_str", "element_str", "element_json"]
-
-
-def _idx_pow(base: str, e: int) -> str:
-    return base if e == 1 else f"{base}^{e}"
-
-
-def _plain_group_str(p: tuple) -> str:
-    n = len(p)
-    q = list(p)
-    factors = []
-    while True:
-        m = max((i for i in range(1, n + 1) if q[i - 1] != i), default=0)
-        if not m:
-            break
-        k = q.index(m) + 1
-        factors.append(f"s{k}{m}" if m <= 9 else f"s({k},{m})")
-        q[k - 1], q[m - 1] = q[m - 1], q[k - 1]
-    return "*".join(reversed(factors))
-
-
-def _spin_group_str(p: tuple) -> str:
-    return "*".join(f"t{i}" for i in st.lehmer_word(p))
-
-
-def mono_str(sig, m: tuple) -> str:
-    if hasattr(sig, "mono_str"):
-        return sig.mono_str(m)
-    left, grp, cliff, right = m
-    pieces = []
-    if sig.left_laurent:
-        for i, e in enumerate(left, start=1):
-            if e > 0:
-                pieces.append(_idx_pow(f"e({i})", e))
-            elif e < 0:
-                pieces.append(_idx_pow(f"einv({i})", -e))
-    elif sig.left_var:
-        for i, e in enumerate(left, start=1):
-            if e:
-                pieces.append(_idx_pow(f"{sig.left_var}{i}", e))
-    if grp != sig._id:
-        pieces.append(_spin_group_str(grp) if sig.spin else _plain_group_str(grp))
-    for i, bit in enumerate(cliff, start=1):
-        if bit:
-            pieces.append(f"c{i}")
-    if sig.right_var:
-        name = sig.right_var
-        call = name in ("epsv", "zeta")
-        for i, e in enumerate(right, start=1):
-            if e:
-                base = f"{name}({i})" if call else f"{name}{i}"
-                pieces.append(_idx_pow(base, e))
-    return "*".join(pieces) if pieces else "1"
-
-
-def _poly_degree(m: tuple) -> int:
-    left, _, _, right = m
-    return sum(abs(e) for e in left) + sum(abs(e) for e in right)
+__all__ = ["element_str", "element_json"]
 
 
 def sorted_terms(e) -> list:
-    if hasattr(e.sig, "sort_key"):
-        key = e.sig.sort_key
-    else:
-        def key(m):
-            return (-_poly_degree(m), m)
+    key = e.sig.sort_key
     return sorted(e.terms.items(), key=lambda item: key(item[0]))
 
 
@@ -85,7 +20,7 @@ def element_str(e) -> str:
         return "0"
     pieces = []
     for mono, coeff in sorted_terms(e):
-        ms = mono_str(e.sig, mono)
+        ms = e.sig.mono_str(mono)
         cs = coeff.render(atom=True)
         if cs == "1":
             body = ms
@@ -107,7 +42,7 @@ def element_json(e) -> dict:
         "algebra": e.sig.name,
         "n": e.sig.n,
         "terms": [
-            {"coeff": coeff.render(), "mono": mono_str(e.sig, mono)}
+            {"coeff": coeff.render(), "mono": e.sig.mono_str(mono)}
             for mono, coeff in sorted_terms(e)
         ],
     }

@@ -360,14 +360,7 @@ class Scalar:
         return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if other is ZERO:
-            return self
-        if len(self.den) == 1 and len(other.den) == 1:
-            return _intern(_padd(self.num, _pneg(other.num)), _DEN1)
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
-            _pmul(self.den, other.den),
-        )
+        return self + -other
 
     def __neg__(self) -> "Scalar":
         out = _NEG_CACHE.get(self)

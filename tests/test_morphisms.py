@@ -67,7 +67,7 @@ def test_homomorphisms_backward():
 
 
 def test_rational_trig_homomorphisms():
-    for name in ("Iota", "J", "IotaMinus", "JMinus"):
+    for name in ("Iota", "IotaLoc", "J", "IotaMinus", "IotaMinusLoc", "JMinus"):
         for n in (2, 3):
             report = mo.check_homomorphism(mo.named_morphism(name, n))
             assert report.ok, f"{name} n={n}\n{report}"

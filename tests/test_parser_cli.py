@@ -184,7 +184,7 @@ def test_cli_repeat_runs_byte_identical():
     assert _run(argv) == _run(argv)
 
 
-def test_cli_usage_errors_exit_two():
+def test_cli_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", "--n", "2", "--expr", "x1"])
     assert exc.value.code == 2
@@ -206,6 +206,15 @@ def test_cli_usage_errors_exit_two():
         ["cocycle-table", "--n", "1"],
     ):
         assert main(argv) == 2, argv
+    for argv, message in (
+        (["verify-modules", "--algebra", "dahca", "--n", "2", "--module", "regular-spin"],
+         "dahca needs --module basic-spin"),
+        (["verify-modules", "--algebra", "sdaha", "--n", "2", "--module", "basic-spin"],
+         "sdaha needs --module regular-spin"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_non_scalar_flag_message(capsys):
