@@ -9,11 +9,23 @@ A monomial is a 4-slot tuple ``(left, grp, cliff, right)``:
 * ``cliff`` -- Clifford bit vector, ``()`` if absent;
 * ``right`` -- exponent vector of the right polynomial slot.
 
-Multiplication concatenates the atom expansions of two monomials and
-straightens the word by rightmost-innermost local rewrites.  Every rule
-either swaps an adjacent misordered pair (possibly with a sign) or replaces
-it by lower-degree correction terms, so the procedure terminates; the
-confluence suite checks independence of the result from association order.
+Multiplication inserts the atoms of the left factor one at a time, from the
+right, into the terms of the right factor.  Most insertions are slot
+arithmetic with a sign, done by ``AlgebraSignature._slot_insert`` and never
+memoized: a left letter or Laurent weight adds into the left vector; a group
+element permutes that vector (x, y, xi, e) and composes into the group slot,
+with the cocycle beta in the spin algebras; a Clifford word crosses the left
+and group slots and multiplies into the Clifford slot; a right letter against
+a zero left slot crosses the group and Clifford slots into the right vector.
+
+Only the cross rules rewrite, and only they are memoized, under the key
+(atom, monomial): the Dunkl-type [y_i, x_j] (a right letter against a
+nonzero left slot), the trigonometric [epsv_i, e^eta] and [zeta_i, e^eta],
+and the affine Hecke-Clifford s_m a_m of Nazarov with its spin and
+right-hand variants (s_m against a nonzero a or b slot, epsv_i or zeta_i
+against a nonidentity group slot).  Each rule swaps the pair and adds
+lower-degree correction terms, so the procedure terminates; the confluence
+suite checks independence of the result from association order.
 
 A right-letter power meeting the left slot is inserted in Horner order,
 r^k M = r (r^{k-1} M), so every (r^a, M) product is memoized once and the
@@ -49,7 +61,6 @@ __all__ = [
 
 _MINUS_ONE = Scalar.from_rational(-1)
 _ODD_VARS = frozenset({"xi", "b", "zeta"})
-_RANK = {"L": 0, "E": 0, "G": 1, "C": 2, "R": 3}
 
 
 class AlgebraError(ValueError):
@@ -305,31 +316,6 @@ class AlgebraSignature:
         atoms += [("R", i, e) for i, e in enumerate(right, start=1) if e]
         return tuple(atoms)
 
-    def assemble(self, word: tuple) -> tuple:
-        left = list(self._zeros) if (self.left_var and not self.left_laurent) else None
-        evec = None
-        grp = self._id
-        cliff = self._zeros if self.has_clifford else ()
-        right = list(self._zeros) if self.right_var else None
-        for atom in word:
-            kind = atom[0]
-            if kind == "L":
-                left[atom[1] - 1] += atom[2]
-            elif kind == "E":
-                evec = atom[1]
-            elif kind == "G":
-                grp = atom[1]
-            elif kind == "C":
-                cliff = atom[1]
-            else:
-                right[atom[1] - 1] += atom[2]
-        if self.left_laurent:
-            lpart = evec if evec is not None else self._zeros
-        else:
-            lpart = tuple(left) if left is not None else ()
-        rpart = tuple(right) if right is not None else ()
-        return (lpart, grp, cliff, rpart)
-
     def mul_mono(self, m1: tuple, m2: tuple) -> dict:
         key = (m1, m2)
         out = self._mul_cache.get(key)
@@ -355,22 +341,31 @@ class AlgebraSignature:
         return out
 
     def _insert(self, atom: tuple, mono: tuple) -> dict:
-        """atom * mono in normal form; the memoized rewriting primitive."""
+        """atom * mono in normal form.  Slot arithmetic is returned directly;
+        only the cross rules are memoized, under the key (atom, mono)."""
+        hit = self._slot_insert(atom, mono)
+        if hit is not None:
+            return {hit[1]: ONE if hit[0] > 0 else _MINUS_ONE}
         key = (atom, mono)
         cached = self._norm_cache.get(key)
         if cached is not None:
             return cached
-        atoms = self.mono_atoms(mono)
-        if not atoms or not _pair_reducible(self, atom, atoms[0]):
-            out = {self.assemble((atom,) + atoms): ONE}
-        elif atom[0] == "R" and atom[2] > 1 and atoms[0][0] in ("L", "E"):
+        left, grp, cliff, right = mono
+        if not any(left):  # epsv_i or zeta_i against sigma
+            first, rest = ("G", grp), (left, self._id, cliff, right)
+        elif self.left_laurent:
+            first, rest = ("E", left), (self._zeros, grp, cliff, right)
+        else:
+            j = next(j for j, e in enumerate(left) if e)
+            first = ("L", j + 1, left[j])
+            rest = (left[:j] + (0,) + left[j + 1:], grp, cliff, right)
+        if atom[0] == "R" and atom[2] > 1 and first[0] != "G":
             # Horner order, R^k M = R (R^{k-1} M): shares the (R^{k-1}, M) memo
             i = atom[1]
             out = self._insert_into(("R", i, 1), self._insert(("R", i, atom[2] - 1), mono))
         else:
-            rest = self.assemble(atoms[1:])
             out = {}
-            for coeff, repl in _rewrite_pair(self, atom, atoms[0]):
+            for coeff, repl in _rewrite_pair(self, atom, first):
                 if coeff.is_zero:
                     continue
                 sub = {rest: ONE}
@@ -380,6 +375,74 @@ class AlgebraSignature:
                     add_term(out, m2, coeff * c2)
         self._norm_cache[key] = out
         return out
+
+    def _slot_insert(self, atom: tuple, mono: tuple):
+        """atom * mono as (sign, monomial) when it is index arithmetic on the
+        slots; None for the cross rules: r_i against a nonzero left slot, s_m
+        against a nonzero a or b slot, and epsv_i or zeta_i against a group
+        slot that is not the identity."""
+        left, grp, cliff, right = mono
+        kind = atom[0]
+        if kind == "L":
+            i, k = atom[1], atom[2]
+            new = list(left)
+            new[i - 1] += k
+            odd = self.left_var in _ODD_VARS and k & 1 and sum(left[: i - 1]) & 1
+            return (-1 if odd else 1), (tuple(new), grp, cliff, right)
+        if kind == "E":
+            return 1, (tuple(a + b for a, b in zip(atom[1], left)), grp, cliff, right)
+        if kind == "C":
+            bits = atom[1]
+            sign = 1
+            if self.left_var in ("x", "a") and sum(e for e, b in zip(left, bits) if b) & 1:
+                sign = -1
+            if grp != self._id:
+                s, bits = st.cliff_conj(st.inverse(grp), bits)
+                sign *= s
+            s, bits = st.cliff_mul(bits, cliff)
+            return sign * s, (left, grp, bits, right)
+        sign = 1
+        bare = not any(left)
+        if kind == "G":
+            p = atom[1]
+            if not bare:
+                if self.left_var in ("a", "b"):
+                    return None
+                new = [0] * self.n
+                for i, e in enumerate(left):
+                    new[p[i] - 1] = e
+                if self.left_var == "xi":
+                    # each odd xi_i^k passes t_p with parity(p), and the odd
+                    # exponents are reordered by p
+                    odd = [p[i] for i, e in enumerate(left) if e & 1]
+                    flips = st.perm_parity(p) * len(odd)
+                    flips += sum(1 for a, v in enumerate(odd) for w in odd[a + 1:] if v > w)
+                    sign = -1 if flips & 1 else 1
+                left = tuple(new)
+            if grp == self._id:
+                return sign, (left, p, cliff, right)
+            if self.spin:
+                sign *= st.spin_group(self.n).beta(p, grp)
+            return sign, (left, st.compose(p, grp), cliff, right)
+        # kind == "R"
+        if not bare:
+            return None
+        i, k = atom[1], atom[2]
+        var = self.right_var
+        if grp != self._id:
+            if var in ("epsv", "zeta"):
+                return None
+            i = grp.index(i) + 1  # sigma^{-1}(i)
+            if var == "xi" and k & 1 and st.perm_parity(grp):
+                sign = -1
+        if k & 1 and (
+            (var in ("x", "epsv") and cliff[i - 1])
+            or (var in _ODD_VARS and sum(right[: i - 1]) & 1)
+        ):
+            sign = -sign
+        new = list(right)
+        new[i - 1] += k
+        return sign, (left, grp, cliff, tuple(new))
 
     def __repr__(self) -> str:
         return f"<{self.name} n={self.n}>"
@@ -410,13 +473,6 @@ def _spin_group_str(p: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Local rewriting rules
 # ---------------------------------------------------------------------------
-
-def _pair_reducible(sig, A: tuple, B: tuple) -> bool:
-    ra, rb = _RANK[A[0]], _RANK[B[0]]
-    if ra != rb:
-        return ra > rb
-    return A[0] in ("E", "G", "C") or A[1] >= B[1]
-
 
 def _wd(*atoms) -> tuple:
     """Assemble a rule output word, dropping trivial atoms."""
@@ -593,87 +649,29 @@ def _affine_right_gen_words(sig, i: int, k: int, m: int) -> list:
 
 
 def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
-    ka, kb = A[0], B[0]
-
-    if ka == kb:
-        if ka in ("L", "R"):
-            i, p = A[1], A[2]
-            j, q = B[1], B[2]
-            if i == j:
-                return [(ONE, _wd((ka, i, p + q)))]
-            var = sig.left_var if ka == "L" else sig.right_var
-            sgn = -1 if (var in _ODD_VARS and (p & 1) and (q & 1)) else 1
-            return [(_sgn_scalar(sgn), (B, A))]
-        if ka == "E":
-            vec = tuple(a + b for a, b in zip(A[1], B[1]))
-            return [(ONE, _wd(("E", vec)))]
-        if ka == "G":
-            p, q = A[1], B[1]
-            sgn = st.spin_group(sig.n).beta(p, q) if sig.spin else 1
-            pq = st.compose(p, q)
-            word = () if pq == sig._id else (("G", pq),)
-            return [(_sgn_scalar(sgn), word)]
-        sgn, bits = st.cliff_mul(A[1], B[1])
-        return [(_sgn_scalar(sgn), _wd(("C", bits)))]
-
-    if ka == "G":
-        p = A[1]
-        if kb == "E":
-            vec = [0] * sig.n
-            for i, e in enumerate(B[1], start=1):
-                vec[st.apply_perm(p, i) - 1] = e
-            return [(ONE, (("E", tuple(vec)), A))]
-        # kb == "L"
-        i, k = B[1], B[2]
-        var = sig.left_var
-        if var in ("x", "y"):
-            return [(ONE, (("L", st.apply_perm(p, i), k), A))]
-        if var == "xi":
-            sgn = -1 if (st.perm_parity(p) and (k & 1)) else 1
-            return [(_sgn_scalar(sgn), (("L", st.apply_perm(p, i), k), A))]
+    """The cross rules: A times the leading atom B of a monomial, for the
+    pairs that :meth:`AlgebraSignature._slot_insert` leaves to rewriting."""
+    if A[0] == "G":
         # affine corrections: peel the last letter of the canonical word
-        word = st.lehmer_word(p)
-        m = word[-1]
+        p = A[1]
+        m = st.lehmer_word(p)[-1]
         ppre = st.compose(p, st.transposition(m, m + 1, sig.n))
         prefix = () if ppre == sig._id else (("G", ppre),)
-        return [(c, prefix + w) for c, w in _affine_gen_left_words(sig, m, i, k)]
-
-    if ka == "C":
-        if kb == "G":
-            sgn, bits = st.cliff_conj(st.inverse(B[1]), A[1])
-            return [(_sgn_scalar(sgn), (B, ("C", bits)))]
-        if kb == "E":
-            return [(ONE, (B, A))]
-        # kb == "L": only even left letters coexist with the Clifford slot
-        i, k = B[1], B[2]
-        sgn = -1 if (sig.left_var in ("x", "a") and A[1][i - 1] and (k & 1)) else 1
-        return [(_sgn_scalar(sgn), (B, A))]
-
-    # ka == "R"
+        return [(c, prefix + w) for c, w in _affine_gen_left_words(sig, m, B[1], B[2])]
     i, k = A[1], A[2]
-    if kb == "C":
-        sgn = -1 if (sig.right_var in ("x", "epsv") and B[1][i - 1] and (k & 1)) else 1
-        return [(_sgn_scalar(sgn), (B, A))]
-    if kb == "G":
-        p = B[1]
-        var = sig.right_var
-        if var in ("y", "x"):
-            return [(ONE, (B, ("R", st.apply_perm(st.inverse(p), i), k)))]
-        if var == "xi":
-            sgn = -1 if (st.perm_parity(p) and (k & 1)) else 1
-            return [(_sgn_scalar(sgn), (B, ("R", st.apply_perm(st.inverse(p), i), k)))]
+    if B[0] == "G":
         # affine corrections: peel the first letter of the canonical word
-        word = st.lehmer_word(p)
-        m = word[0]
+        p = B[1]
+        m = st.lehmer_word(p)[0]
         psuf = st.compose(st.transposition(m, m + 1, sig.n), p)
         suffix = () if psuf == sig._id else (("G", psuf),)
         return [(c, w + suffix) for c, w in _affine_right_gen_words(sig, i, k, m)]
     # Against L and E only k = 1 or k < 0 arrive here: _insert crosses a
     # higher power one letter at a time.
-    if kb == "E":
+    if B[0] == "E":
         # r_i e^lam = e^lam r_i + [r_i, e^lam], the closed form for the whole weight
         return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
-    # kb == "L": the rational double affine cross relation
+    # B is an L atom: the rational double affine cross relation
     j, l = B[1], B[2]
     if k > 0:
         out = [(ONE, _wd(("L", j, 1), A, ("L", j, l - 1)))]
@@ -770,19 +768,16 @@ class Element:
             raise AlgebraError("division by zero")
         if len(self.terms) != 1:
             raise AlgebraError("only invertible monomials can be raised to negative powers")
-        (mono, coeff), = self.terms.items()
-        left, grp, cliff, right = mono
+        (mono,) = self.terms
         sig = self.sig
-        inv_c = ONE / coeff
-        if sig.left_laurent and any(left) and grp == sig._id and not any(cliff) and not any(right):
-            return Element(sig, {(tuple(-e for e in left), grp, cliff, right): inv_c})
-        if sig.right_laurent and any(right) and grp == sig._id and not any(cliff) and (
-            not left or not any(left)
-        ):
-            return Element(sig, {(left, grp, cliff, tuple(-e for e in right)): inv_c})
-        if mono == sig.one_mono:
-            return Element(sig, {mono: inv_c})
-        raise AlgebraError("monomial is not invertible in this algebra")
+        left, _, _, right = mono
+        if (any(left) and not sig.left_laurent) or (any(right) and not sig.right_laurent):
+            raise AlgebraError("monomial is not invertible in this algebra")
+        # every atom is a unit: invert each one, in reverse order
+        word = tuple(_inverse_atom(a) for a in reversed(sig.mono_atoms(mono)))
+        cand = Element(sig, sig.normalize(word))
+        ((_, c),) = (self * cand).terms.items()
+        return cand.scale(ONE / c)
 
     # -- inspection -----------------------------------------------------------
 
@@ -822,6 +817,18 @@ class Element:
         from .render import element_str  # local import to keep layering simple
 
         return f"<{self.sig.name} element {element_str(self)}>"
+
+
+def _inverse_atom(atom: tuple) -> tuple:
+    """The inverse of a unit atom, up to the sign that c^b and t_p carry."""
+    kind = atom[0]
+    if kind == "E":
+        return ("E", tuple(-e for e in atom[1]))
+    if kind == "R":
+        return ("R", atom[1], -atom[2])
+    if kind == "G":
+        return ("G", st.inverse(atom[1]))
+    return atom
 
 
 def monomial_element(sig, mono: tuple, coeff: Scalar = ONE) -> Element:

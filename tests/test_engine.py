@@ -1,5 +1,7 @@
 """PBW normal forms, products, brackets, grading, and the relation suites."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from spinhecke.engine import (
     verify_relations,
 )
 from spinhecke.render import element_json, element_str
-from spinhecke.scalars import ONE, QOmega
+from spinhecke.scalars import ONE, U, QOmega
 
 ALL_FACTORIES = (
     alg.sym,
@@ -290,3 +292,110 @@ def test_high_degree_power_products(factory, right, left, n):
             for l in range(1, 7):
                 from_left = from_left * x
                 assert from_left == ys[k] * xs[l], (k, l)
+
+
+# SHA-256 over the JSON normal forms of seeded random products, one digest per
+# (family, n): 150 pairs at n = 2, 3 and 40 at n = 4, degree bound 3.  Pinned
+# before the slot-arithmetic engine, so any change of a normal form shows here.
+PINNED_PRODUCT_DIGESTS = {
+    ("sym", 2): "901dd824678aa023a8dec1197d71ec725321a95ae3a36e62155af5d16ec7fb49",
+    ("sym", 3): "dd11e06d99a6aaba8018b6d95d2a73a3e20da569b675d6039a22a20352949cf8",
+    ("sym", 4): "88e33af110163520a7d52f63976991901fda8dbaa263d22aa99b6124c1ba3bb8",
+    ("cliffordsym", 2): "8867a772e83fcab00d0f20bc69645daecfa601a1ca16c5ba5faa23cfcc82f904",
+    ("cliffordsym", 3): "8eaef692fcd286882ec76d33883bc467141ba56d05c3a57db977d8762d5c85d5",
+    ("cliffordsym", 4): "f7b370b08d689708ccb2f628794d9ef8e1b454f8c291e3b7ae26aa7c79076007",
+    ("spinsym", 2): "4b39d2eab508021602b874634cbba666acb224b0df176a37c5ca35280867f2c1",
+    ("spinsym", 3): "e6e7665b646833ae251b819908f98aa3fb7f36804b6732bb1bd126c0d1a7b6d7",
+    ("spinsym", 4): "79468dbbaffecb0515d288c2715365d83e94d9dc9e6ebb914cfd4212ab9a8b19",
+    ("affinehc", 2): "c2e9f34f18b7a4ba5b00290d5f5264c844483e3f04459f188f2879ce9f18022c",
+    ("affinehc", 3): "0900f5dbf07464ee0d05a1525a1f53ee124eda9480c125c243bbd46aab029703",
+    ("affinehc", 4): "26232b37afa6800adc1a45ffcb633e522cb2585d6c2361538822c4f459f704cb",
+    ("spinaffine", 2): "c4ba4fd382214c842df466c896a0b41279cac23f652e8b2f042846d4e69a6bb7",
+    ("spinaffine", 3): "71c6ea061d2df811b3775ade99903edf699927e8df6465d5375482ca6013b8bd",
+    ("spinaffine", 4): "6fed118011b22391a651ac6b3b33d0b3f1e315ad8d4cbf900e26e151e97cdd46",
+    ("dahca", 2): "19f4b3d8229cc7cfbc5508c08ee1e9bb4e860d4ea4873f6e4ce390fb4724924f",
+    ("dahca", 3): "ec39a86b015b3ef7501c48949df64e8389dcda053c7a155b6c4a50032eab3fa1",
+    ("dahca", 4): "83dae74d07dc0816bf984b19227b7a196581814e0b591abbcb22e1205d9b1551",
+    ("dahca_loc", 2): "e8cae5b563bea901f21ed02a83b6dbf11165d74db847510f33d0100ced3f8b8f",
+    ("dahca_loc", 3): "e47da83aa6ea721a17ba27aeb3d483ddd657d7f5ff104a8729c54794d55520f4",
+    ("dahca_loc", 4): "1933204878adbd1ef330d471a5f47331e218fb2545d13cdbc0276413339bd962",
+    ("dahca_yfirst", 2): "5d98b92c1a04ecb99768e3aa34f73ad3c82adfa08a985100c1a9a3460f73144f",
+    ("dahca_yfirst", 3): "4ae6b2d481699cef9aeb223b4c1d703e5e05e3f8c530a0a15dd244143c07a9e7",
+    ("dahca_yfirst", 4): "4c81be575e5081fd4d7646f48993e13d21e336dd493196a843710618f370cbdd",
+    ("sdaha", 2): "91506e4b017c24308ee055c313b80b4fcf3cf7649ed39f91856a1dc632266397",
+    ("sdaha", 3): "09d9fdd497beb734d891599e1df718b315f1f8dacf7c9275baa9842bdbc7f627",
+    ("sdaha", 4): "7d0d0c545c3faed9cb7ab237cfee72a4f27e53ee7c257fe7372f2abc723d2664",
+    ("sdaha_loc", 2): "4096888c7f6eb1a8470a88147f5394831c8f0b52c541351f70f473f593eb7905",
+    ("sdaha_loc", 3): "0d392af342df44a499c79d14d496cdddd11bcc6437d0ad15f1e4fff721cc4e79",
+    ("sdaha_loc", 4): "6bbd4087282c8fa3219adc31a28019de151e26df2051a934ff0faa0faf28c041",
+    ("sdaha_yfirst", 2): "49bc4c42e54ce492b71cfb643dc58247d02204466433038111c5140337d6d8e4",
+    ("sdaha_yfirst", 3): "8a2505d5182bf7e66129bf6942d45da2d65f8ce5ae6630a517d30df93894cac4",
+    ("sdaha_yfirst", 4): "79f146e84ce294686c4bc4ea12bec7afe2890e23e0bdc35d129482af55ebe29e",
+    ("trigdahca", 2): "95676731fb5d25752bac7de5f75a1d6546852d1e09933c80fb0c0154599e0b35",
+    ("trigdahca", 3): "4244124d6a6e87bfe2384255f104c6e94fc57d2bdbc94d6bcb322c4e81fed7d5",
+    ("trigdahca", 4): "eaf01f82586c1473d0ffc9ac4dc627667971d0ca28805bc0c2bf29e0bdda6c7d",
+    ("trigsdaha", 2): "072e1ffdb2abed172af4bf0b848baea2f7930d0817793c92b646dfc015e5bdbb",
+    ("trigsdaha", 3): "fd4a627ea0fdd9bc9ac39527bfbfb54b9b134976a06a50fdf31fdbe323ae369f",
+    ("trigsdaha", 4): "ce0eb5258cf05a3333e679d692e54694a81da45c2cbf59e43b351ca0780dd9ff",
+}
+
+
+def _product_digest(sig):
+    rng = random.Random(sig.n)
+    h = hashlib.sha256()
+    for _ in range(150 if sig.n < 4 else 40):
+        a, b = (monomial_element(sig, random_monomial(sig, rng, 3)) for _ in range(2))
+        h.update(json.dumps(element_json(a * b), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(alg._LAYOUTS))
+def test_pinned_product_digests(family):
+    for n in (2, 3, 4):
+        sig = alg._make(family, n, None)
+        assert _product_digest(sig) == PINNED_PRODUCT_DIGESTS[family, n], (family, n)
+
+
+def _random_unit_monomial(sig, rng):
+    n = sig.n
+    _, grp, cliff, _ = random_monomial(sig, rng, 0)
+    left = tuple(rng.randint(-2, 2) for _ in range(n)) if sig.left_laurent else sig.one_mono[0]
+    right = tuple(rng.randint(-2, 2) for _ in range(n)) if sig.right_laurent else sig.one_mono[3]
+    return (left, grp, cliff, right)
+
+
+@pytest.mark.parametrize("family", sorted(alg._LAYOUTS))
+def test_unit_monomials_invert(family):
+    # group elements, Clifford words and Laurent weights are units, and so
+    # is every product of them; m**-1 is a two-sided inverse
+    sig = alg._make(family, 3, None)
+    rng = random.Random(29)
+    one = Element.one(sig)
+    for _ in range(25):
+        m = monomial_element(sig, _random_unit_monomial(sig, rng), U + ONE)
+        inv = m**-1
+        assert m * inv == one and inv * m == one, (family, m)
+
+
+def _is_cross_rule(sig, atom, mono):
+    left, grp, _, _ = mono
+    if atom[0] == "R" and any(left):
+        return True
+    if atom[0] == "G" and any(left):
+        return sig.family in ("affinehc", "spinaffine")
+    if atom[0] == "R" and grp != sig.one_mono[1]:
+        return sig.family in ("trigdahca", "trigsdaha")
+    return False
+
+
+@pytest.mark.parametrize("family", sorted(alg._LAYOUTS))
+def test_memo_holds_only_cross_rules(family):
+    # moves inside a slot or between adjacent slots are index arithmetic
+    # with a sign; only the cross rules are rewritten and memoized
+    sig = alg._make(family, 3, None)
+    report = confluence_probe(sig, trials=30, degree_bound=3, seed=41)
+    assert report.ok, str(report)
+    stray = [key for key in sig._norm_cache if not _is_cross_rule(sig, *key)]
+    assert not stray, stray[:5]
+    has_cross = sig.right_var is not None or sig.left_var in ("a", "b")
+    assert bool(sig._norm_cache) == has_cross

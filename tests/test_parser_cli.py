@@ -111,6 +111,23 @@ def test_cli_normalize_matches_spec():
     assert out.strip() == "x1*y1 - u*s12 - u*s12*c1*c2"
 
 
+@pytest.mark.parametrize(
+    "algebra, n, expr, expected, unit",
+    [
+        ("sym", "3", "s1^-1", "s12", "s1"),
+        ("spinsym", "3", "(t1*t2)^-1", "t2*t1", "t1*t2"),
+        ("cliffordsym", "2", "(c1*c2)^-1", "-c1*c2", "c1*c2"),
+        ("dahca", "2", "x1/s1", "x1*s12", "s1"),
+        ("trigdahca", "2", "(e(1)*s1*c1)^-1", "einv(2)*s12*c2", "e(1)*s1*c1"),
+    ],
+)
+def test_cli_inverts_unit_monomials(algebra, n, expr, expected, unit):
+    for text, want in ((expr, expected), (f"({unit})*({unit})^-1", "1"),
+                       (f"({unit})^-1*({unit})", "1")):
+        rc, out = _run(["normalize", "--algebra", algebra, "--n", n, "--expr", text])
+        assert (rc, out.strip()) == (0, want), text
+
+
 def test_cli_verify_relations_exit_zero():
     rc, out = _run(["verify-relations", "--algebra", "sdaha", "--n", "3", "--format", "json"])
     assert rc == 0
@@ -211,6 +228,8 @@ def test_cli_usage_errors_exit_two(capsys):
          "dahca needs --module basic-spin"),
         (["verify-modules", "--algebra", "sdaha", "--n", "2", "--module", "basic-spin"],
          "sdaha needs --module regular-spin"),
+        (["normalize", "--algebra", "dahca", "--n", "2", "--expr", "x1^-1"],
+         "monomial is not invertible in this algebra"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
