@@ -3,7 +3,8 @@ C[x] (x) W, the basic spin module, divided differences, and the Dunkl
 operator actions of x_i, y_i and xi_i.
 
 All divided differences are evaluated by exact telescoping sums; no
-polynomial division is performed anywhere.
+polynomial division is performed anywhere.  The three Dunkl operators share
+one telescoping kernel and differ only in the group-side parts they apply.
 """
 
 from __future__ import annotations
@@ -224,32 +225,53 @@ def divided_difference(poly: dict, i: int, k: int) -> dict:
     return out
 
 
+def _dunkl(i: int, v: InducedVector, u: Scalar | None, parts) -> InducedVector:
+    """The one Dunkl kernel: u sum_{k != i} sum_{(sign, odd, T) in parts(k, w)}
+    sign D_ik(f) (x) T(w), where D_ik(f) = (f - s_ik f)/(v_i - v_k) is the
+    telescoping sum and T(w) is given as [(coeff, basis index)].  With ``odd``
+    set, D_ik is the signed telescoping for the v_k + v_i denominator.  A k
+    where f has equal exponents at i and k contributes nothing."""
+    u = Scalar.u_power(1) if u is None else u
+    out: dict = {}
+    for (exps, w), coeff in v.terms.items():
+        uc = u * coeff
+        p = exps[i - 1]
+        for k in range(1, v.module.n + 1):
+            if k == i or exps[k - 1] == p:
+                continue
+            tele = list(_tele_exps(exps, i, k))
+            for sign, odd, acted in parts(k, w):
+                for sgn, new in tele:
+                    if odd and not (p + new[i - 1]) & 1:
+                        sgn = -sgn
+                    base = uc if sign * sgn > 0 else -uc
+                    for c2, w2 in acted:
+                        add_term(out, (new, w2), base * c2)
+    return InducedVector(v.module, v.side, out)
+
+
+def _clifford_pair(mod: FiniteModule, i: int, k: int, terms):
+    """c_i c_k applied to [(coeff, basis index)]."""
+    return [
+        (c * c3 * c4, w4)
+        for c, w in terms
+        for c3, w3 in mod.act_gen(("c", k), w)
+        for c4, w4 in mod.act_gen(("c", i), w3)
+    ]
+
+
 def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
     """x_i o (f (x) w) = u sum_{k != i} ((1 - s_{ki})f)/(y_i - y_k) (x)
     (1 - c_i c_k) s_{ki}(w)."""
     mod = v.module
     if mod.spin or v.side != "y":
         raise AlgebraError("dunkl_x acts on C[y] (x) W for a Clifford-Weyl module W")
-    u = Scalar.u_power(1) if u is None else u
-    n = mod.n
-    out: dict = {}
-    for (exps, w), coeff in v.terms.items():
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            if exps[i - 1] == exps[k - 1]:
-                continue
-            swapped = mod.act_perm(st.transposition(k, i, n), w)
-            acted = list(swapped)
-            for c2, w2 in swapped:
-                for c3, w3 in mod.act_gen(("c", k), w2):
-                    for c4, w4 in mod.act_gen(("c", i), w3):
-                        acted.append((-(c2 * c3 * c4), w4))
-            for sgn, new in _tele_exps(exps, i, k):
-                base = u * coeff if sgn > 0 else -(u * coeff)
-                for c2, w2 in acted:
-                    add_term(out, (new, w2), base * c2)
-    return InducedVector(mod, "y", out)
+
+    def parts(k, w):
+        swapped = mod.act_perm(st.transposition(k, i, mod.n), w)
+        return [(1, False, swapped), (-1, False, _clifford_pair(mod, i, k, swapped))]
+
+    return _dunkl(i, v, u, parts)
 
 
 def dunkl_xi(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
@@ -257,25 +279,12 @@ def dunkl_xi(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector
     mod = v.module
     if not mod.spin or v.side != "y":
         raise AlgebraError("dunkl_xi acts on C[y] (x) W for a spin group module W")
-    u = Scalar.u_power(1) if u is None else u
-    n = mod.n
-    sg = st.spin_group(n)
-    out: dict = {}
-    for (exps, w), coeff in v.terms.items():
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            if exps[i - 1] == exps[k - 1]:
-                continue
-            otsgn, perm = sg.odd_transposition(k, i)
-            acted = mod.act_perm(perm, w)
-            if otsgn < 0:
-                acted = [(-c, w2) for c, w2 in acted]
-            for sgn, new in _tele_exps(exps, i, k):
-                base = u * coeff if sgn > 0 else -(u * coeff)
-                for c2, w2 in acted:
-                    add_term(out, (new, w2), base * c2)
-    return InducedVector(mod, "y", out)
+
+    def parts(k, w):
+        sgn, perm = st.spin_group(mod.n).odd_transposition(k, i)
+        return [(sgn, False, mod.act_perm(perm, w))]
+
+    return _dunkl(i, v, u, parts)
 
 
 def dunkl_y(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
@@ -285,32 +294,14 @@ def dunkl_y(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
     mod = v.module
     if mod.spin or v.side != "x":
         raise AlgebraError("dunkl_y acts on C[x] (x) W for a Clifford-Weyl module W")
-    u = Scalar.u_power(1) if u is None else u
-    n = mod.n
-    out: dict = {}
-    for (exps, w), coeff in v.terms.items():
-        for k in range(1, n + 1):
-            if k == i:
-                continue
-            p = exps[i - 1]
-            swapped = mod.act_perm(st.transposition(k, i, n), w)
-            # (f - s_{ki} f)/(x_k - x_i) (x) s_{ki}(w)
-            for sgn, new in _tele_exps(exps, i, k):
-                base = u * coeff if sgn < 0 else -(u * coeff)
-                for c2, w2 in swapped:
-                    add_term(out, (new, w2), base * c2)
-            # (f - nu_{ik} s_{ki} f)/(x_k + x_i) (x) c_i c_k s_{ki}(w)
-            acted = []
-            for c2, w2 in swapped:
-                for c3, w3 in mod.act_gen(("c", k), w2):
-                    for c4, w4 in mod.act_gen(("c", i), w3):
-                        acted.append((c2 * c3 * c4, w4))
-            for sgn, new in _tele_exps(exps, i, k):
-                flip = sgn if (p + new[i - 1]) & 1 else -sgn
-                base = u * coeff if flip > 0 else -(u * coeff)
-                for c2, w2 in acted:
-                    add_term(out, (new, w2), base * c2)
-    return InducedVector(mod, "x", out)
+
+    def parts(k, w):
+        # (f - s_{ki} f)/(x_k - x_i) (x) s_{ki}(w), and
+        # (f - nu_{ik} s_{ki} f)/(x_k + x_i) (x) c_i c_k s_{ki}(w)
+        swapped = mod.act_perm(st.transposition(k, i, mod.n), w)
+        return [(-1, False, swapped), (1, True, _clifford_pair(mod, i, k, swapped))]
+
+    return _dunkl(i, v, u, parts)
 
 
 def _permute_exps(perm: tuple, exps: tuple) -> tuple:

@@ -23,9 +23,13 @@ Only the cross rules rewrite, and only they are memoized, under the key
 nonzero left slot), the trigonometric [epsv_i, e^eta] and [zeta_i, e^eta],
 and the affine Hecke-Clifford s_m a_m of Nazarov with its spin and
 right-hand variants (s_m against a nonzero a or b slot, epsv_i or zeta_i
-against a nonidentity group slot).  Each rule swaps the pair and adds
-lower-degree correction terms, so the procedure terminates; the confluence
-suite checks independence of the result from association order.
+against a nonidentity group slot).  The first two carry one group-side
+term T_ab, built once by :func:`_t_words`: (1 + c_a c_b) s_ab, or the odd
+transposition [a, b] in the spin algebras.  The affine rules are one
+coefficient table in :func:`_affine_words`, from s_m a_m = a_{m+1} s_m - 1 -
+c_m c_{m+1}.  Each rule swaps the pair and adds lower-degree correction
+terms, so the procedure terminates; the confluence suite checks
+independence of the result from association order.
 
 A right-letter power meeting the left slot is inserted in Horner order,
 r^k M = r (r^{k-1} M), so every (r^a, M) product is memoized once and the
@@ -475,197 +479,108 @@ def _spin_group_str(p: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 def _wd(*atoms) -> tuple:
-    """Assemble a rule output word, dropping trivial atoms."""
-    out = []
-    for a in atoms:
-        if a is None:
-            continue
-        kind = a[0]
-        if kind in ("L", "R") and a[2] == 0:
-            continue
-        if kind == "E" and not any(a[1]):
-            continue
-        if kind == "C" and not any(a[1]):
-            continue
-        out.append(a)
-    return tuple(out)
+    """Assemble a rule output word, dropping zero powers."""
+    return tuple(a for a in atoms if a[0] not in ("L", "R") or a[2])
 
 
 def _bits(sig, *indices) -> tuple:
     return tuple(1 if m in indices else 0 for m in range(1, sig.n + 1))
 
 
-def _sgn_scalar(s: int) -> Scalar:
-    return ONE if s > 0 else _MINUS_ONE
-
-
-def _cliff_pair_words(sig, coeff: Scalar, i: int, k: int, perm: tuple) -> list:
-    """Words for coeff * (1 + c_i c_k) * sigma, with c_i c_k put canonical."""
-    cs = 1 if i < k else -1
+def _t_words(sig, coeff: Scalar, a: int, b: int, head: tuple = ()) -> list:
+    """Rule words for coeff * head * T_ab, the group-side term of the Dunkl
+    and trigonometric cross relations: the odd transposition [a, b] in the
+    spin algebras, and (1 + c_a c_b) s_ab otherwise, c_a c_b put canonical."""
+    if sig.spin:
+        sgn, perm = st.spin_group(sig.n).odd_transposition(a, b)
+        return [(coeff if sgn > 0 else -coeff, head + (("G", perm),))]
+    g = ("G", st.transposition(a, b, sig.n))
     return [
-        (coeff, _wd(("G", perm))),
-        (coeff if cs > 0 else -coeff, _wd(("C", _bits(sig, i, k)), ("G", perm))),
+        (coeff, head + (g,)),
+        (coeff if a < b else -coeff, head + (("C", _bits(sig, a, b)), g)),
     ]
 
 
 def _bracket_words(sig, i: int, j: int) -> list:
-    """[r_i, l_j] for the rational double affine families, as rule words."""
-    n, u = sig.n, sig.u_scalar
-    rv, lv = sig.right_var, sig.left_var
-    if (rv, lv) == ("y", "x") or (rv, lv) == ("x", "y"):
-        neg = rv == "x"
-        if neg:
-            i, j = j, i  # express through [y_i, x_j]
-        if i != j:
-            out = _cliff_pair_words(sig, u, i, j, st.transposition(i, j, n))
-        else:
-            out = []
-            for k in range(1, n + 1):
-                if k != i:
-                    out += _cliff_pair_words(sig, -u, k, i, st.transposition(k, i, n))
-        return [(-c, w) for c, w in out] if neg else out
-    if (rv, lv) == ("y", "xi") or (rv, lv) == ("xi", "y"):
-        neg = rv == "xi"
-        if neg:
-            i, j = j, i  # express through [y_i, xi_j]
-        sg = st.spin_group(n)
-        out = []
-        if i != j:
-            sgn, perm = sg.odd_transposition(i, j)
-            out.append((u if sgn > 0 else -u, _wd(("G", perm))))
-        else:
-            for k in range(1, n + 1):
-                if k != i:
-                    sgn, perm = sg.odd_transposition(i, k)
-                    out.append((u if sgn > 0 else -u, _wd(("G", perm))))
-        return [(-c, w) for c, w in out] if neg else out
-    raise AlgebraError(f"no polynomial cross relation in {sig.name}")
+    """[y_i, l_j] (l = x or xi) as rule words: u T_ij for i != j, and
+    -u sum_{k != i} T_ki for i = j.  In the y-first order, [l_i, y_j] is
+    the same with i and j swapped and u negated."""
+    u = sig.u_scalar
+    if sig.right_var != "y":
+        i, j, u = j, i, -u
+    if i != j:
+        return _t_words(sig, u, i, j)
+    out = []
+    for k in range(1, sig.n + 1):
+        if k != i:
+            out += _t_words(sig, -u, k, i)
+    return out
 
 
 def trig_comm_word_terms(sig, i: int, eta: tuple) -> list:
     """Rule words for the defining commutator [r_i, e^eta]: the divided
-    difference against e^eta is expanded as an exact geometric sum."""
-    n, u = sig.n, sig.u_scalar
+    difference against e^eta is expanded as an exact geometric sum,
+    sum over k and m of +-u e^(eta + m s (eps_k - eps_i)) T_ki, s = +-1."""
+    u = sig.u_scalar
     out = []
-    for k in range(1, n + 1):
-        if k == i:
-            continue
+    for k in range(1, sig.n + 1):
         d = eta[i - 1] - eta[k - 1]
-        if d == 0:
+        if d == 0:  # also k == i
             continue
         s = 1 if k > i else -1
-        dd = s * d
-        mrange = range(0, dd) if dd > 0 else range(dd, 0)
-        gsign = 1 if dd > 0 else -1
-        for m in mrange:
+        coeff = u if d > 0 else -u
+        for m in range(min(0, s * d), max(0, s * d)):
             vec = list(eta)
             vec[k - 1] += m * s
             vec[i - 1] -= m * s
-            weight = tuple(vec)
-            coeff = u if s * gsign > 0 else -u
-            if sig.spin:
-                otsgn, perm = st.spin_group(n).odd_transposition(k, i)
-                out.append((coeff if otsgn > 0 else -coeff, _wd(("E", weight), ("G", perm))))
-            else:
-                perm = st.transposition(k, i, n)
-                cs = 1 if i < k else -1
-                out.append((coeff, _wd(("E", weight), ("G", perm))))
-                out.append(
-                    (-coeff if cs > 0 else coeff,
-                     _wd(("E", weight), ("C", _bits(sig, i, k)), ("G", perm)))
-                )
+            head = (("E", tuple(vec)),) if any(vec) else ()
+            out += _t_words(sig, coeff, k, i, head)
     return out
 
 
-def _affine_gen_left_words(sig, m: int, i: int, k: int) -> list:
-    """s_m * a_i^k (resp. t_m * b_i^k) as rule words, peeling one letter."""
-    sm = st.transposition(m, m + 1, sig.n)
-    if sig.left_var == "a":
-        if i != m and i != m + 1:
-            return [(ONE, _wd(("L", i, k), ("G", sm)))]
-        if i == m:
-            rest = ("L", m, k - 1)
-            return [
-                (ONE, _wd(("L", m + 1, 1), ("G", sm), rest)),
-                (_MINUS_ONE, _wd(rest)),
-                (_MINUS_ONE, _wd(("C", _bits(sig, m, m + 1)), rest)),
-            ]
-        rest = ("L", m + 1, k - 1)
-        return [
-            (ONE, _wd(("L", m, 1), ("G", sm), rest)),
-            (ONE, _wd(rest)),
-            (_MINUS_ONE, _wd(("C", _bits(sig, m, m + 1)), rest)),
-        ]
-    # spin affine: b letters
-    if i != m and i != m + 1:
-        return [(_sgn_scalar(-1 if k & 1 else 1), _wd(("L", i, k), ("G", sm)))]
-    if i == m:
-        rest = ("L", m, k - 1)
-        return [
-            (ONE, _wd(rest)),
-            (_MINUS_ONE, _wd(("L", m + 1, 1), ("G", sm), rest)),
-        ]
-    rest = ("L", m + 1, k - 1)
-    return [
-        (ONE, _wd(rest)),
-        (_MINUS_ONE, _wd(("L", m, 1), ("G", sm), rest)),
-    ]
+def _affine_words(sig, left: bool, m: int, i: int, k: int) -> list:
+    """s_m v_i^k (left slot, v = a or b) or v_i^k s_m (right slot, v = epsv
+    or zeta) as rule words, peeling one letter.  With j the other index of
+    {m, m+1}, the unit rules are Nazarov's and its variants:
 
+        s_m a_i    = a_j s_m -+ 1 - c_m c_{m+1}     (-+ : - at i = m)
+        t_m b_i    = -b_j t_m + 1
+        epsv_i s_m = s_m epsv_j -+ u + u c_m c_{m+1}
+        zeta_i t_m = -t_m zeta_j + u
 
-def _affine_right_gen_words(sig, i: int, k: int, m: int) -> list:
-    """epsv_i^k * s_m (resp. zeta_i^k * t_m) as rule words."""
-    u = sig.u_scalar
-    sm = st.transposition(m, m + 1, sig.n)
-    if sig.right_var == "epsv":
-        if i != m and i != m + 1:
-            return [(ONE, _wd(("G", sm), ("R", i, k)))]
-        if i == m:
-            rest = ("R", m, k - 1)
-            return [
-                (ONE, _wd(rest, ("G", sm), ("R", m + 1, 1))),
-                (-u, _wd(rest)),
-                (u, _wd(rest, ("C", _bits(sig, m, m + 1)))),
-            ]
-        rest = ("R", m + 1, k - 1)
-        return [
-            (ONE, _wd(rest, ("G", sm), ("R", m, 1))),
-            (u, _wd(rest)),
-            (u, _wd(rest, ("C", _bits(sig, m, m + 1)))),
-        ]
-    # zeta letters are odd
+    and a far letter passes with the sign (-1)^k when v is odd.  The words
+    are built in left-slot order and mirrored for the right slot."""
+    slot, var = ("L", sig.left_var) if left else ("R", sig.right_var)
+    odd = var in _ODD_VARS
+    sm = ("G", st.transposition(m, m + 1, sig.n))
     if i != m and i != m + 1:
-        return [(_sgn_scalar(-1 if k & 1 else 1), _wd(("G", sm), ("R", i, k)))]
-    if i == m:
-        rest = ("R", m, k - 1)
-        return [
-            (_MINUS_ONE, _wd(rest, ("G", sm), ("R", m + 1, 1))),
-            (u, _wd(rest)),
+        words = [(_MINUS_ONE if odd and k & 1 else ONE, ((slot, i, k), sm))]
+    else:
+        kappa = ONE if left else sig.u_scalar
+        rest = (slot, i, k - 1)
+        words = [
+            (_MINUS_ONE if odd else ONE, ((slot, 2 * m + 1 - i, 1), sm, rest)),
+            (kappa if odd or i > m else -kappa, (rest,)),
         ]
-    rest = ("R", m + 1, k - 1)
-    return [
-        (_MINUS_ONE, _wd(rest, ("G", sm), ("R", m, 1))),
-        (u, _wd(rest)),
-    ]
+        if not odd:
+            words.append((-kappa if left else kappa, (("C", _bits(sig, m, m + 1)), rest)))
+    return [(c, _wd(*(w if left else reversed(w)))) for c, w in words]
 
 
 def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
     """The cross rules: A times the leading atom B of a monomial, for the
     pairs that :meth:`AlgebraSignature._slot_insert` leaves to rewriting."""
-    if A[0] == "G":
-        # affine corrections: peel the last letter of the canonical word
-        p = A[1]
-        m = st.lehmer_word(p)[-1]
-        ppre = st.compose(p, st.transposition(m, m + 1, sig.n))
-        prefix = () if ppre == sig._id else (("G", ppre),)
-        return [(c, prefix + w) for c, w in _affine_gen_left_words(sig, m, B[1], B[2])]
+    if "G" in (A[0], B[0]):
+        # affine corrections: peel the letter s_m of the canonical word that
+        # meets the polynomial slot; the rest q of the word stays outside
+        left = A[0] == "G"
+        p, (_, i, k) = (A[1], B) if left else (B[1], A)
+        m = st.lehmer_word(p)[-1 if left else 0]
+        sm = st.transposition(m, m + 1, sig.n)
+        q = () if p == sm else (("G", st.compose(p, sm) if left else st.compose(sm, p)),)
+        words = _affine_words(sig, left, m, i, k)
+        return [(c, q + w) if left else (c, w + q) for c, w in words]
     i, k = A[1], A[2]
-    if B[0] == "G":
-        # affine corrections: peel the first letter of the canonical word
-        p = B[1]
-        m = st.lehmer_word(p)[0]
-        psuf = st.compose(st.transposition(m, m + 1, sig.n), p)
-        suffix = () if psuf == sig._id else (("G", psuf),)
-        return [(c, w + suffix) for c, w in _affine_right_gen_words(sig, i, k, m)]
     # Against L and E only k = 1 or k < 0 arrive here: _insert crosses a
     # higher power one letter at a time.
     if B[0] == "E":
@@ -673,16 +588,14 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
         return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
     # B is an L atom: the rational double affine cross relation
     j, l = B[1], B[2]
+    tail = _wd(("L", j, l - 1))
+    bracket = _bracket_words(sig, i, j)
     if k > 0:
-        out = [(ONE, _wd(("L", j, 1), A, ("L", j, l - 1)))]
-        for c, w in _bracket_words(sig, i, j):
-            out.append((c, w + _wd(("L", j, l - 1))))
-        return out
+        return [(ONE, (("L", j, 1), A) + tail)] + [(c, w + tail) for c, w in bracket]
     # negative (localized) powers: y^k x = y^{k+1} (x y^{-1} - y^{-1}[y,x]y^{-1})
-    out = [(ONE, _wd(("R", i, k + 1), ("L", j, 1), ("R", i, -1), ("L", j, l - 1)))]
-    for c, w in _bracket_words(sig, i, j):
-        out.append((-c, _wd(("R", i, k)) + w + _wd(("R", i, -1), ("L", j, l - 1))))
-    return out
+    tail = (("R", i, -1),) + tail
+    out = [(ONE, _wd(("R", i, k + 1), ("L", j, 1)) + tail)]
+    return out + [(-c, (A,) + w + tail) for c, w in bracket]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ s(1,3) tr(1,3)``.  Two-digit ``s13`` abbreviates the transposition
 from __future__ import annotations
 
 import re
+from importlib import import_module
 
 from .engine import AlgebraError, Element, generator_element, super_bracket, bracket
 from .scalars import Scalar, W
@@ -36,7 +37,22 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),\[\]{}]))"
 )
 
-_CALL_NAMES = {"e", "einv", "epsv", "zeta", "M", "Ms", "z", "fz", "phi", "psi", "s", "tr"}
+# call name -> (number of indices, generator token kind, or the module and
+# function that build the element, imported on first use)
+_CALLS = {
+    "e": (1, "e"),
+    "einv": (1, "einv"),
+    "epsv": (1, "epsv"),
+    "zeta": (1, "zeta"),
+    "s": (2, "sij"),
+    "tr": (2, "oddtr"),
+    "M": (1, ("clifford_family", "jucys_murphy")),
+    "z": (1, ("clifford_family", "z_element")),
+    "phi": (1, ("clifford_family", "intertwiner_phi")),
+    "Ms": (1, ("spin_family", "odd_jm")),
+    "fz": (1, ("spin_family", "frak_z")),
+    "psi": (1, ("spin_family", "intertwiner_psi")),
+}
 _GEN_PREFIXES = ("xi", "x", "y", "c", "s", "t", "a", "b", "zeta", "epsv")
 
 
@@ -155,7 +171,7 @@ class _Parser:
             return Element.scalar(self.sig, self.sig.u_scalar)
         if name == "w":
             return Element.scalar(self.sig, W)
-        if name in _CALL_NAMES and self.peek()[1] == "(":
+        if name in _CALLS and self.peek()[1] == "(":
             return self.call(name, at)
         m = re.fullmatch(r"([A-Za-z]+)(\d+)", name)
         if m is None:
@@ -175,44 +191,17 @@ class _Parser:
             self.advance()
             args.append(self.integer())
         self.expect(")")
-        if name in ("e", "einv", "epsv", "zeta") and len(args) == 1:
-            return self.gen((name, args[0]), at)
-        if name == "s" and len(args) == 2:
-            return self.gen(("sij", args[0], args[1]), at)
-        if name == "tr" and len(args) == 2:
-            return self.gen(("oddtr", args[0], args[1]), at)
-        if len(args) != 1:
-            raise ParseError(f"{name} takes one index (at position {at})")
-        i = args[0]
-        sig = self.sig
+        count, target = _CALLS[name]
+        if len(args) != count:
+            indices = "one index" if count == 1 else "two indices"
+            raise ParseError(f"{name} takes {indices} (at position {at})")
+        if isinstance(target, str):
+            return self.gen((target, *args), at)
+        build = getattr(import_module(f".{target[0]}", __package__), target[1])
         try:
-            if name == "M":
-                from .clifford_family import jucys_murphy
-
-                return jucys_murphy(i, sig)
-            if name == "z":
-                from .clifford_family import z_element
-
-                return z_element(i, sig)
-            if name == "phi":
-                from .clifford_family import intertwiner_phi
-
-                return intertwiner_phi(i, sig)
-            if name == "Ms":
-                from .spin_family import odd_jm
-
-                return odd_jm(i, sig)
-            if name == "fz":
-                from .spin_family import frak_z
-
-                return frak_z(i, sig)
-            if name == "psi":
-                from .spin_family import intertwiner_psi
-
-                return intertwiner_psi(i, sig)
+            return build(args[0], self.sig)
         except AlgebraError as exc:
-            raise ParseError(f"{name}({i}) at position {at}: {exc}") from exc
-        raise ParseError(f"unknown call {name!r} at position {at}")
+            raise ParseError(f"{name}({args[0]}) at position {at}: {exc}") from exc
 
     def integer(self) -> int:
         sign = 1

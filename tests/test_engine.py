@@ -399,3 +399,34 @@ def test_memo_holds_only_cross_rules(family):
     assert not stray, stray[:5]
     has_cross = sig.right_var is not None or sig.left_var in ("a", "b")
     assert bool(sig._norm_cache) == has_cross
+
+
+def _laurent_monomial(sig, rng):
+    # random_monomial draws only nonnegative right exponents; this one also
+    # draws y_i^-1 and y_i^-2, so the negative-power R.L rule is reached
+    left, grp, cliff, _ = random_monomial(sig, rng, 2)
+    return (left, grp, cliff, tuple(rng.randint(-2, 2) for _ in range(sig.n)))
+
+
+# SHA-256 over the JSON normal forms of the products ab below, one digest per
+# (family, n), pinned before the cross rules were rewritten.
+LAURENT_PRODUCT_DIGESTS = {
+    ("dahca_loc", 2): "2e39185bceda93c3faf11a4f338a7edcf1a240391e1081a235c02cd679345268",
+    ("dahca_loc", 3): "e9a1c6054386f8283defc6c67efdcb6e191527546325b940bca7a19c3873f452",
+    ("sdaha_loc", 2): "13670221efcba77b082c169d884b065cbaa723e820edd70ce5b6b84e43a4fbee",
+    ("sdaha_loc", 3): "2d4de7431de1da4ec5ae74013d53dcd6681b9804edb092a62a18ebbdaf34d4e7",
+}
+
+
+@pytest.mark.parametrize("family", ("dahca_loc", "sdaha_loc"))
+def test_laurent_products_associate(family):
+    for n in (2, 3):
+        sig = alg._make(family, n, None)
+        rng = random.Random(70 + n)
+        h = hashlib.sha256()
+        for _ in range(40):
+            a, b, c = (monomial_element(sig, _laurent_monomial(sig, rng)) for _ in range(3))
+            ab = a * b
+            assert ab * c == a * (b * c), (family, n, element_str(a), element_str(b), element_str(c))
+            h.update(json.dumps(element_json(ab), sort_keys=True).encode())
+        assert h.hexdigest() == LAURENT_PRODUCT_DIGESTS[family, n], (family, n)

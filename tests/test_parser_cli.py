@@ -230,6 +230,12 @@ def test_cli_usage_errors_exit_two(capsys):
          "sdaha needs --module regular-spin"),
         (["normalize", "--algebra", "dahca", "--n", "2", "--expr", "x1^-1"],
          "monomial is not invertible in this algebra"),
+        (["normalize", "--algebra", "sym", "--n", "3", "--expr", "s(1)"],
+         "s takes two indices (at position 0)"),
+        (["normalize", "--algebra", "sym", "--n", "3", "--expr", "tr(2)"],
+         "tr takes two indices (at position 0)"),
+        (["normalize", "--algebra", "sym", "--n", "3", "--expr", "s(1,2,3)"],
+         "s takes two indices (at position 0)"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
