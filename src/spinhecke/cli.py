@@ -28,12 +28,19 @@ from .structure import all_perms, spin_group
 SCHEMA = "spinhecke-report/1"
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+def _emit(fmt: str, payload, text_lines) -> None:
+    """Print the JSON report or the text lines.  Both are functions of no
+    arguments, and only the one for ``fmt`` is called."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1))
+        print(json.dumps(payload(), sort_keys=True, separators=(",", ": "), indent=1))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
+
+
+def _payload(command: str, algebra: str, n: int, result, **extra) -> dict:
+    return {"schema": SCHEMA, "command": command, "algebra": algebra, "n": n,
+            "result": result, **extra}
 
 
 def _report_payload(command: str, sig_name: str, n: int, report: Report) -> dict:
@@ -66,9 +73,9 @@ def _algebra_from_args(args):
 
 def _finish_report(args, command: str, sig_name: str, n: int, report: Report) -> int:
     _emit(
-        _report_payload(command, sig_name, n, report),
         args.format,
-        _report_text(report),
+        lambda: _report_payload(command, sig_name, n, report),
+        lambda: _report_text(report),
     )
     return 0 if report.ok else 1
 
@@ -78,14 +85,11 @@ def _finish_report(args, command: str, sig_name: str, n: int, report: Report) ->
 def _cmd_normalize(args) -> int:
     sig = _algebra_from_args(args)
     elem = parse_expression(args.expr, sig)
-    payload = {
-        "schema": SCHEMA,
-        "command": "normalize",
-        "algebra": sig.name,
-        "n": sig.n,
-        "result": element_json(elem),
-    }
-    _emit(payload, args.format, [element_str(elem)])
+    _emit(
+        args.format,
+        lambda: _payload("normalize", sig.name, sig.n, element_json(elem)),
+        lambda: [element_str(elem)],
+    )
     return 0
 
 
@@ -145,19 +149,14 @@ def _cmd_cocycle_table(args) -> int:
     if args.n < 2:
         raise AlgebraError("rank n must be at least 2")
     sg = spin_group(args.n)
-    rows = []
-    for p in sorted(all_perms(args.n)):
-        for q in sorted(all_perms(args.n)):
-            rows.append({"p": list(p), "q": list(q), "beta": sg.beta(p, q)})
-    payload = {
-        "schema": SCHEMA,
-        "command": "cocycle-table",
-        "algebra": "SpinSym",
-        "n": args.n,
-        "result": rows,
-    }
-    lines = [f"beta{tuple(r['p'])},{tuple(r['q'])} = {r['beta']:+d}" for r in rows]
-    _emit(payload, args.format, lines)
+    perms = sorted(all_perms(args.n))
+    table = [(p, q, sg.beta(p, q)) for p in perms for q in perms]
+    _emit(
+        args.format,
+        lambda: _payload("cocycle-table", "SpinSym", args.n,
+                         [{"p": list(p), "q": list(q), "beta": b} for p, q, b in table]),
+        lambda: (f"beta{p},{q} = {b:+d}" for p, q, b in table),
+    )
     return 0
 
 
@@ -183,15 +182,8 @@ def _cmd_act(args) -> int:
             raise AlgebraError(f"--expr must be a polynomial in the {side} variables")
         terms[(slot, args.vector)] = coeff
     vec = dk.InducedVector(W, side, terms)
-    out = dk.act_token((args.op.split("-")[1], args.i), vec, sig.u_scalar)
-    payload = {
-        "schema": SCHEMA,
-        "command": "act",
-        "algebra": sig.name,
-        "n": args.n,
-        "result": out.render(),
-    }
-    _emit(payload, args.format, [out.render()])
+    text = dk.act_token((args.op.split("-")[1], args.i), vec, sig.u_scalar).render()
+    _emit(args.format, lambda: _payload("act", sig.name, args.n, text), lambda: [text])
     return 0
 
 
@@ -199,15 +191,11 @@ def _cmd_map(args) -> int:
     m = mo.named_morphism(args.name, args.n)
     elem = parse_expression(args.expr, m.source)
     image = mo.apply_morphism(m, elem)
-    payload = {
-        "schema": SCHEMA,
-        "command": "map",
-        "algebra": m.target.name,
-        "n": args.n,
-        "morphism": args.name,
-        "result": element_json(image),
-    }
-    _emit(payload, args.format, [element_str(image)])
+    _emit(
+        args.format,
+        lambda: _payload("map", m.target.name, args.n, element_json(image), morphism=args.name),
+        lambda: [element_str(image)],
+    )
     return 0
 
 

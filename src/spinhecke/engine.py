@@ -9,14 +9,18 @@ A monomial is a 4-slot tuple ``(left, grp, cliff, right)``:
 * ``cliff`` -- Clifford bit vector, ``()`` if absent;
 * ``right`` -- exponent vector of the right polynomial slot.
 
-Multiplication inserts the atoms of the left factor one at a time, from the
-right, into the terms of the right factor.  Most insertions are slot
-arithmetic with a sign, done by ``AlgebraSignature._slot_insert`` and never
-memoized: a left letter or Laurent weight adds into the left vector; a group
-element permutes that vector (x, y, xi, e) and composes into the group slot,
-with the cocycle beta in the spin algebras; a Clifford word crosses the left
-and group slots and multiplies into the Clifford slot; a right letter against
-a zero left slot crosses the group and Clifford slots into the right vector.
+Multiplication inserts the atoms of the left factor, from the right, into
+the terms of the right factor; a normal form inserts a word into 1.  Both
+run one kernel, :meth:`AlgebraSignature._insert_word`.  Most insertions are
+slot arithmetic with a sign, done by ``AlgebraSignature._slot_insert`` and
+never memoized: a left letter or Laurent weight adds into the left vector; a
+group element permutes that vector (x, y, xi, e) and composes into the group
+slot, with the cocycle beta in the spin algebras; a Clifford word crosses the
+left and group slots and multiplies into the Clifford slot; a right letter
+against a zero left slot crosses the group and Clifford slots into the right
+vector.  The kernel walks each term through these moves as one (sign,
+monomial) pair and collects terms in a dict only where a cross rule is due,
+so terms that meet there cancel before the rule is applied.
 
 Only the cross rules rewrite, and only they are memoized, under the key
 (atom, monomial): the Dunkl-type [y_i, x_j] (a right letter against a
@@ -35,12 +39,16 @@ A right-letter power meeting the left slot is inserted in Horner order,
 r^k M = r (r^{k-1} M), so every (r^a, M) product is memoized once and the
 cross rules only see single letters r.  A letter r_i crosses a whole
 Laurent weight at once, r_i e^lam = e^lam r_i + [r_i, e^lam], with the
-closed geometric-sum commutator of :func:`trig_comm_word_terms`.
+closed geometric-sum commutator of :func:`trig_comm_word_terms`, and s_m
+crosses a whole power v_i^k of the left slot at once, by the closed sum
+s_m v_i^k = sigma^k v_j^k s_m + sum_{t<k} sigma^t v_j^t (eps + gamma C)
+v_i^(k-1-t) of the unit rule s_m v_i = sigma v_j s_m + eps + gamma C.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from random import Random
 
 from . import structure as st
@@ -324,32 +332,65 @@ class AlgebraSignature:
         key = (m1, m2)
         out = self._mul_cache.get(key)
         if out is None:
-            out = {m2: ONE}
-            for atom in reversed(self.mono_atoms(m1)):
-                out = self._insert_into(atom, out)
+            out = self._insert_word(self.mono_atoms(m1), {m2: ONE})
             self._mul_cache[key] = out
         return out
 
     def normalize(self, word: tuple) -> dict:
         """Straighten an atom word; returns {monomial: Scalar}."""
-        out = {self.one_mono: ONE}
-        for atom in reversed(word):
-            out = self._insert_into(atom, out)
-        return out
+        return self._insert_word(word, {self.one_mono: ONE})
 
-    def _insert_into(self, atom: tuple, terms: dict) -> dict:
-        out: dict = {}
-        for mono, c in terms.items():
-            for m2, c2 in self._insert(atom, mono).items():
-                add_term(out, m2, c * c2)
+    def _insert_word(self, word: tuple, terms: dict) -> dict:
+        """word * terms in normal form, as a new dict; ``terms`` is only read.
+
+        ``stage[j]`` collects the terms that have received ``word[j:]``, and
+        ``stage[0]`` is the result.  Each term walks the atoms right to left
+        through slot moves as one (sign, monomial) pair and joins the stage
+        where a cross rule is due, so it meets, and may cancel against, every
+        other term that needs that rule before :meth:`_cross` is applied once
+        per monomial.  Slot moves are injective on monomials, so a walk past
+        a stage loses no cancellation."""
+        if not word:
+            return dict(terms)
+        stage = [None] * len(word) + [terms]  # each dict is made on first use
+        stage[0] = out = {}
+        slot, cross = self._slot_insert, self._cross
+        for j in range(len(word), 0, -1):
+            cur = stage[j]
+            if cur is None:
+                continue
+            for mono, c in cur.items():
+                neg, i = False, j
+                while i:
+                    hit = slot(word[i - 1], mono)
+                    if hit is None:
+                        break
+                    neg ^= hit[0] < 0
+                    mono = hit[1]
+                    i -= 1
+                if i < j:
+                    dst = stage[i]
+                    if dst is None:
+                        dst = stage[i] = {}
+                    add_term(dst, mono, -c if neg else c)
+                    continue
+                # the stage's own atom is a cross rule
+                dst = stage[j - 1]
+                if dst is None:
+                    dst = stage[j - 1] = {}
+                for m2, c2 in cross(word[j - 1], mono).items():
+                    add_term(dst, m2, c * c2)
         return out
 
     def _insert(self, atom: tuple, mono: tuple) -> dict:
-        """atom * mono in normal form.  Slot arithmetic is returned directly;
-        only the cross rules are memoized, under the key (atom, mono)."""
+        """atom * mono in normal form: a slot move, else :meth:`_cross`."""
         hit = self._slot_insert(atom, mono)
         if hit is not None:
             return {hit[1]: ONE if hit[0] > 0 else _MINUS_ONE}
+        return self._cross(atom, mono)
+
+    def _cross(self, atom: tuple, mono: tuple) -> dict:
+        """atom * mono by a cross rule, memoized under the key (atom, mono)."""
         key = (atom, mono)
         cached = self._norm_cache.get(key)
         if cached is not None:
@@ -366,16 +407,13 @@ class AlgebraSignature:
         if atom[0] == "R" and atom[2] > 1 and first[0] != "G":
             # Horner order, R^k M = R (R^{k-1} M): shares the (R^{k-1}, M) memo
             i = atom[1]
-            out = self._insert_into(("R", i, 1), self._insert(("R", i, atom[2] - 1), mono))
+            out = self._insert_word((("R", i, 1),), self._cross(("R", i, atom[2] - 1), mono))
         else:
             out = {}
             for coeff, repl in _rewrite_pair(self, atom, first):
                 if coeff.is_zero:
                     continue
-                sub = {rest: ONE}
-                for a in reversed(repl):
-                    sub = self._insert_into(a, sub)
-                for m2, c2 in sub.items():
+                for m2, c2 in self._insert_word(repl, {rest: ONE}).items():
                     add_term(out, m2, coeff * c2)
         self._norm_cache[key] = out
         return out
@@ -456,6 +494,7 @@ def _idx_pow(base: str, e: int) -> str:
     return base if e == 1 else f"{base}^{e}"
 
 
+@lru_cache(maxsize=None)
 def _plain_group_str(p: tuple) -> str:
     n = len(p)
     q = list(p)
@@ -470,6 +509,7 @@ def _plain_group_str(p: tuple) -> str:
     return "*".join(reversed(factors))
 
 
+@lru_cache(maxsize=None)
 def _spin_group_str(p: tuple) -> str:
     return "*".join(f"t{i}" for i in st.lehmer_word(p))
 
@@ -540,30 +580,48 @@ def trig_comm_word_terms(sig, i: int, eta: tuple) -> list:
 
 def _affine_words(sig, left: bool, m: int, i: int, k: int) -> list:
     """s_m v_i^k (left slot, v = a or b) or v_i^k s_m (right slot, v = epsv
-    or zeta) as rule words, peeling one letter.  With j the other index of
-    {m, m+1}, the unit rules are Nazarov's and its variants:
+    or zeta) as rule words.  With j the other index of {m, m+1}, the unit
+    rules are Nazarov's and its variants:
 
         s_m a_i    = a_j s_m -+ 1 - c_m c_{m+1}     (-+ : - at i = m)
         t_m b_i    = -b_j t_m + 1
         epsv_i s_m = s_m epsv_j -+ u + u c_m c_{m+1}
         zeta_i t_m = -t_m zeta_j + u
 
-    and a far letter passes with the sign (-1)^k when v is odd.  The words
-    are built in left-slot order and mirrored for the right slot."""
+    and a far letter passes with the sign (-1)^k when v is odd.  On the left
+    slot the unit rule s_m v_i = sigma v_j s_m + eps + gamma C, C = c_m
+    c_{m+1}, is applied k times in one step:
+
+        s_m v_i^k = sigma^k v_j^k s_m
+                    + sum_{t<k} sigma^t v_j^t (eps + gamma C) v_i^(k-1-t)
+
+    (sigma = 1, gamma = -1 for a; sigma = -1, eps = 1, gamma = 0 for b).
+    The right slot peels one letter, with the words built in left-slot
+    order and mirrored."""
     slot, var = ("L", sig.left_var) if left else ("R", sig.right_var)
     odd = var in _ODD_VARS
     sm = ("G", st.transposition(m, m + 1, sig.n))
+    j = 2 * m + 1 - i
     if i != m and i != m + 1:
         words = [(_MINUS_ONE if odd and k & 1 else ONE, ((slot, i, k), sm))]
+    elif left:
+        eps = ONE if odd or i > m else _MINUS_ONE
+        cm = ("C", _bits(sig, m, m + 1))
+        words = [(_MINUS_ONE if odd and k & 1 else ONE, ((slot, j, k), sm))]
+        for t in range(k):
+            head, tail = (slot, j, t), (slot, i, k - 1 - t)
+            words.append((-eps if odd and t & 1 else eps, (head, tail)))
+            if not odd:
+                words.append((_MINUS_ONE, (head, cm, tail)))
     else:
-        kappa = ONE if left else sig.u_scalar
+        kappa = sig.u_scalar
         rest = (slot, i, k - 1)
         words = [
-            (_MINUS_ONE if odd else ONE, ((slot, 2 * m + 1 - i, 1), sm, rest)),
+            (_MINUS_ONE if odd else ONE, ((slot, j, 1), sm, rest)),
             (kappa if odd or i > m else -kappa, (rest,)),
         ]
         if not odd:
-            words.append((-kappa if left else kappa, (("C", _bits(sig, m, m + 1)), rest)))
+            words.append((kappa, (("C", _bits(sig, m, m + 1)), rest)))
     return [(c, _wd(*(w if left else reversed(w)))) for c, w in words]
 
 

@@ -165,6 +165,7 @@ _INTERN: dict = {}  # (num, den) -> the one Scalar with that reduced form
 _MUL_CACHE: dict = {}  # (Scalar, Scalar) -> product
 _ADD_CACHE: dict = {}  # (Scalar, Scalar) -> sum
 _NEG_CACHE: dict = {}  # Scalar -> its negative
+_RENDER_CACHE: dict = {}  # (Scalar, atom) -> its text
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +413,13 @@ class Scalar:
         return _peval(self.num, u0) / dval
 
     def render(self, atom: bool = False) -> str:
+        key = (self, atom)
+        out = _RENDER_CACHE.get(key)
+        if out is None:
+            out = _RENDER_CACHE[key] = self._render(atom)
+        return out
+
+    def _render(self, atom: bool) -> str:
         if not self.num:
             return "0"
         num_str = _prender(self.num)

@@ -217,12 +217,16 @@ def test_criterion_07_dunkl_modules():
             ok = False
         if not dk.oracle_equivalence("dahca", W, degree_bound=4).ok:
             ok = False
+        if not dk.oracle_equivalence("dahca", W, degree_bound=4, side="x").ok:
+            ok = False
         Wm = dk.regular_spin(n)
         if not dk.verify_module("sdaha", Wm, degree_bound=4).ok:
             ok = False
         if not dk.oracle_equivalence("sdaha", Wm, degree_bound=4).ok:
             ok = False
-    _criterion(7, ok, "Dunkl operator relations + engine oracle, degree <= 4, n <= 3", t0)
+    _criterion(
+        7, ok, "Dunkl operator relations + engine oracle, x and y sides, degree <= 4, n <= 3", t0
+    )
 
 
 def test_criterion_08_centers():

@@ -430,3 +430,36 @@ def test_laurent_products_associate(family):
             assert ab * c == a * (b * c), (family, n, element_str(a), element_str(b), element_str(c))
             h.update(json.dumps(element_json(ab), sort_keys=True).encode())
         assert h.hexdigest() == LAURENT_PRODUCT_DIGESTS[family, n], (family, n)
+
+
+@pytest.mark.parametrize("factory, g, v", [(alg.affine_hc, "s", "a"), (alg.spin_affine, "t", "b")])
+def test_affine_closed_crossing_matches_unit_letters(factory, g, v):
+    # s_m v_i^k crosses in one step by the closed sum over the power; the
+    # left-nested ((s_m v_i) v_i)... meets only the unit rule, one letter at
+    # a time; i = m, m + 1 and a far index
+    sig = factory(3)
+    for m, far in ((1, 3), (2, 1)):
+        s = generator_element(sig, (g, m))
+        for i in (m, m + 1, far):
+            x = generator_element(sig, (v, i))
+            nested = s
+            for k in range(1, 9):
+                nested = nested * x
+                assert s * x**k == nested, (m, i, k)
+
+
+def test_affine_crossing_needs_no_deep_recursion():
+    import sys
+
+    for factory, g, v in ((alg.affine_hc, "s", "a"), (alg.spin_affine, "t", "b")):
+        sig = factory(3)
+        s, x = generator_element(sig, (g, 1)), generator_element(sig, (v, 1))
+        power = x**600
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            prod = s * power
+        finally:
+            sys.setrecursionlimit(limit)
+        # v_2^600 s_1 and the 600 words of each correction sum (one sum for b)
+        assert len(prod.terms) == (1201 if v == "a" else 601)

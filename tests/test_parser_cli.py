@@ -186,6 +186,20 @@ def test_cli_act_and_map():
     assert blob["result"]["terms"] == [{"coeff": "w", "mono": "c1*xi1*y2"}]
 
 
+@pytest.mark.parametrize("fmt, unused", [("json", "element_str"), ("text", "element_json")])
+def test_cli_builds_only_the_requested_format(monkeypatch, fmt, unused):
+    def refuse(elem):
+        raise AssertionError(f"{unused} called for --format {fmt}")
+
+    monkeypatch.setattr(cli, unused, refuse)
+    for argv in (["normalize", "--algebra", "dahca", "--n", "2", "--expr", "y1*x1"],
+                 ["map", "--name", "Phi", "--n", "3", "--expr", "x1*y2"]):
+        rc, out = _run(argv + ["--format", fmt])
+        assert rc == 0 and out.strip(), argv
+        if fmt == "json":
+            assert json.loads(out)["result"]["terms"]
+
+
 def test_cli_cocycle_table_deterministic():
     rc1, out1 = _run(["cocycle-table", "--n", "3", "--format", "json"])
     rc2, out2 = _run(["cocycle-table", "--n", "3", "--format", "json"])
