@@ -1,11 +1,14 @@
 """Induced modules, divided differences, and the three Dunkl actions."""
 
+import hashlib
+import json
+
 import pytest
 
 from spinhecke import algebras as alg
 from spinhecke import dunkl as dk
-from spinhecke.engine import AlgebraError
-from spinhecke.scalars import ONE, U, Scalar
+from spinhecke.engine import AlgebraError, AlgebraSignature
+from spinhecke.scalars import ONE, U, Scalar, add_term
 
 
 def test_divided_difference_examples():
@@ -118,11 +121,59 @@ def test_wrong_module_kind_raises():
         dk.dunkl_y(1, dk.InducedVector.vacuum(dk.basic_spin(2), "y"))
 
 
-def test_verify_module_small():
+def test_verify_module_small(monkeypatch):
+    """Both families pass at n=2 with the rewriting engine switched off:
+    the Dunkl side of the engine-vs-Dunkl oracle pair never rewrites."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_module reached the rewriting engine")
+
+    monkeypatch.setattr(AlgebraSignature, "_insert_word", refuse)
+    monkeypatch.setattr(AlgebraSignature, "_cross", refuse)
     rep = dk.verify_module("dahca", dk.basic_spin(2), degree_bound=3)
     assert rep.ok, str(rep)
     rep = dk.verify_module("sdaha", dk.regular_spin(2), degree_bound=3)
     assert rep.ok, str(rep)
+
+
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True), generated before
+# verify_module read its relation words off a per-call column table.
+_MODULE_REPORT_DIGESTS = {
+    "dahca": "7fad425c51a0525ece97c14f67248f05b8b631e53050b2726f5a681ffcff7575",
+    "sdaha": "36d10e24e26a8b231873f28585fbd6f73f74b7cd028e286af11d93adc4c78a00",
+}
+_NEGATED_C2_DIGEST = "28d5cdc2fce8d96e2436ff639fd56f69c69ffae55c85cb09cc769a693c6c3157"
+
+
+def _report_digest(rep) -> str:
+    return hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", ["dahca", "sdaha"])
+def test_verify_module_report_pinned_n3(family):
+    W = dk.basic_spin(3) if family == "dahca" else dk.regular_spin(3)
+    rep = dk.verify_module(family, W, degree_bound=3)
+    assert rep.ok, str(rep)
+    assert _report_digest(rep) == _MODULE_REPORT_DIGESTS[family]
+
+
+def test_verify_module_reports_a_broken_module():
+    """Basic spin at n=3 with the action of c_2 negated is not a DaHCa
+    module: c_2 still squares to 1, but s_1 c_1 = c_2 s_1 fails."""
+    base = dk.basic_spin(3)
+
+    def negated_c2(mod, token, idx):
+        out = base.act_gen(token, idx)
+        return [(-c, k) for c, k in out] if token == ("c", 2) else out
+
+    W = dk.FiniteModule("negated-c2", 3, False, base.basis, negated_c2)
+    rep = dk.verify_module("dahca", W, degree_bound=3)
+    assert not rep.ok
+    assert rep.n_fail == 20
+    first = rep.failures()[0]
+    assert first.id == "conj[s1,c1]"
+    assert first.witness == "on y^(0, 0, 0) (x) 1: 2*1 ⊗ c2"
+    assert _report_digest(rep) == _NEGATED_C2_DIGEST
 
 
 def test_oracle_equivalence_small():
@@ -169,7 +220,7 @@ def test_phi_transport_of_module_action():
     spin_structure = dk.FiniteModule("L2-spin", n, True, Wmod.basis, t_action)
 
     def act_tensor(img, vec):
-        out = dk.InducedVector(Wmod, "y")
+        out = {}
         for (bits, inner), coeff in img.terms.items():
             cur = dk.InducedVector(spin_structure, "y", dict(vec.terms))
             left, grp, _, right = inner
@@ -190,8 +241,9 @@ def test_phi_transport_of_module_action():
                             key = (exps, idx2)
                             nxt[key] = nxt.get(key, Scalar.from_rational(0)) + c * c2
                     terms = nxt
-            out = out + dk.InducedVector(Wmod, "y", terms).scale(coeff)
-        return out
+            for key, c in terms.items():
+                add_term(out, key, coeff * c)
+        return dk.InducedVector(Wmod, "y", out)
 
     def act_y(vec, i):
         out = {}
