@@ -28,6 +28,7 @@ from .engine import (
     AlgebraSignature,
     Element,
     bracket,
+    clear_caches,
     confluence_probe,
     element_from_terms,
     generator_element,
@@ -57,6 +58,7 @@ __all__ = [
     "affine_hc",
     "bracket",
     "by_name",
+    "clear_caches",
     "clifford_sym",
     "confluence_probe",
     "dahca",

@@ -148,6 +148,8 @@ def _cmd_embedding_check(args) -> int:
 def _cmd_cocycle_table(args) -> int:
     if args.n < 2:
         raise AlgebraError("rank n must be at least 2")
+    if args.n > 6:  # (n!)^2 rows: 25.4M at n = 7
+        raise AlgebraError(f"cocycle-table prints (n!)^2 rows; --n {args.n} exceeds the limit 6")
     sg = spin_group(args.n)
     perms = sorted(all_perms(args.n))
     table = [(p, q, sg.beta(p, q)) for p in perms for q in perms]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import algebras as alg
 from . import structure as st
-from .engine import AlgebraError, generator_element, monomial_element
+from .engine import _MEMO_OWNERS, AlgebraError, generator_element, monomial_element
 from .reports import Report
 from .scalars import ONE, Scalar, add_term
 
@@ -49,6 +49,10 @@ class FiniteModule:
         self.index = {b: i for i, b in enumerate(basis)}
         self._gen_action = gen_action
         self._cache: dict = {}
+        _MEMO_OWNERS.add(self)
+
+    def clear_memo(self) -> None:
+        self._cache.clear()
 
     def dim(self) -> int:
         return len(self.basis)

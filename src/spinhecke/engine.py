@@ -13,17 +13,22 @@ Multiplication inserts the atoms of the left factor, from the right, into
 the terms of the right factor; a normal form inserts a word into 1.  Both
 run one kernel, :meth:`AlgebraSignature._insert_word`.  Most insertions are
 slot arithmetic with a sign, done by ``AlgebraSignature._slot_insert`` and
-never memoized: a left letter or Laurent weight adds into the left vector; a
-group element permutes that vector (x, y, xi, e) and composes into the group
-slot, with the cocycle beta in the spin algebras; a Clifford word crosses the
-left and group slots and multiplies into the Clifford slot; a right letter
-against a zero left slot crosses the group and Clifford slots into the right
-vector.  The kernel walks each term through these moves as one (sign,
-monomial) pair and collects terms in a dict only where a cross rule is due,
-so terms that meet there cancel before the rule is applied.
+never memoized per monomial: a left letter or Laurent weight adds into the
+left vector; a group element permutes that vector (x, y, xi, e) and composes
+into the group slot, with the cocycle beta in the spin algebras; a Clifford
+word crosses the left and group slots and multiplies into the Clifford slot;
+a right letter against a zero left slot crosses the group and Clifford slots
+into the right vector.  The kernel walks each term through these moves as
+one (sign, monomial) pair and collects terms in a dict only where a cross
+rule is due, so terms that meet there cancel before the rule is applied.
+The group and Clifford moves read two per-signature tables, each entry
+built once: (p, grp) -> (beta, p grp) and (grp, bits, cliff) -> (sign,
+bits').
 
-Only the cross rules rewrite, and only they are memoized, under the key
-(atom, monomial): the Dunkl-type [y_i, x_j] (a right letter against a
+Only the cross rules rewrite, and only their results are memoized, under
+the key (atom, monomial); their rule words are built once per (atom,
+leading atom of the monomial) and kept in a third per-signature table.
+The cross rules are the Dunkl-type [y_i, x_j] (a right letter against a
 nonzero left slot), the trigonometric [epsv_i, e^eta] and [zeta_i, e^eta],
 and the affine Hecke-Clifford s_m a_m of Nazarov with its spin and
 right-hand variants (s_m against a nonzero a or b slot, epsv_i or zeta_i
@@ -47,10 +52,13 @@ v_i^(k-1-t) of the unit rule s_m v_i = sigma v_j s_m + eps + gamma C.
 
 from __future__ import annotations
 
+import operator
 import sys
+import weakref
 from functools import lru_cache
 from random import Random
 
+from . import scalars as sc
 from . import structure as st
 from .reports import Report
 from .scalars import ONE, Scalar, QOmega, add_term
@@ -69,10 +77,13 @@ __all__ = [
     "verify_relations",
     "confluence_probe",
     "random_monomial",
+    "clear_caches",
 ]
 
 _MINUS_ONE = Scalar.from_rational(-1)
 _ODD_VARS = frozenset({"xi", "b", "zeta"})
+# every signature and module with memo tables, each with a clear_memo()
+_MEMO_OWNERS: weakref.WeakSet = weakref.WeakSet()
 
 
 class AlgebraError(ValueError):
@@ -118,8 +129,17 @@ class AlgebraSignature:
         self._relations = None
         self._id = st.identity(n)
         self._zeros = tuple([0] * n)
-        self._norm_cache: dict = {}
-        self._mul_cache: dict = {}
+        self._norm_cache: dict = {}  # (atom, mono) -> cross-rule result
+        self._mul_cache: dict = {}  # (mono, mono) -> product
+        self._rule_cache: dict = {}  # (atom, leading atom) -> rule words
+        self._group_moves: dict = {}  # (p, grp) -> (sign, p o grp)
+        self._cliff_moves: dict = {}  # (grp, bits, cliff) -> (sign, bits')
+        _MEMO_OWNERS.add(self)
+
+    def clear_memo(self) -> None:
+        for table in (self._norm_cache, self._mul_cache, self._rule_cache,
+                      self._group_moves, self._cliff_moves):
+            table.clear()
 
     # -- basic monomial helpers ---------------------------------------------
 
@@ -409,10 +429,12 @@ class AlgebraSignature:
             i = atom[1]
             out = self._insert_word((("R", i, 1),), self._cross(("R", i, atom[2] - 1), mono))
         else:
+            rules = self._rule_cache.get((atom, first))
+            if rules is None:
+                rules = tuple((c, w) for c, w in _rewrite_pair(self, atom, first) if not c.is_zero)
+                self._rule_cache[atom, first] = rules
             out = {}
-            for coeff, repl in _rewrite_pair(self, atom, first):
-                if coeff.is_zero:
-                    continue
+            for coeff, repl in rules:
                 for m2, c2 in self._insert_word(repl, {rest: ONE}).items():
                     add_term(out, m2, coeff * c2)
         self._norm_cache[key] = out
@@ -432,17 +454,18 @@ class AlgebraSignature:
             odd = self.left_var in _ODD_VARS and k & 1 and sum(left[: i - 1]) & 1
             return (-1 if odd else 1), (tuple(new), grp, cliff, right)
         if kind == "E":
-            return 1, (tuple(a + b for a, b in zip(atom[1], left)), grp, cliff, right)
+            return 1, (tuple(map(operator.add, atom[1], left)), grp, cliff, right)
         if kind == "C":
             bits = atom[1]
-            sign = 1
+            move = self._cliff_moves.get((grp, bits, cliff))
+            if move is None:
+                sign, moved = (1, bits) if grp == self._id else st.cliff_conj(st.inverse(grp), bits)
+                s, moved = st.cliff_mul(moved, cliff)
+                move = self._cliff_moves[grp, bits, cliff] = (sign * s, moved)
+            sign = move[0]
             if self.left_var in ("x", "a") and sum(e for e, b in zip(left, bits) if b) & 1:
-                sign = -1
-            if grp != self._id:
-                s, bits = st.cliff_conj(st.inverse(grp), bits)
-                sign *= s
-            s, bits = st.cliff_mul(bits, cliff)
-            return sign * s, (left, grp, bits, right)
+                sign = -sign
+            return sign, (left, grp, move[1], right)
         sign = 1
         bare = not any(left)
         if kind == "G":
@@ -463,9 +486,11 @@ class AlgebraSignature:
                 left = tuple(new)
             if grp == self._id:
                 return sign, (left, p, cliff, right)
-            if self.spin:
-                sign *= st.spin_group(self.n).beta(p, grp)
-            return sign, (left, st.compose(p, grp), cliff, right)
+            move = self._group_moves.get((p, grp))
+            if move is None:
+                beta = st.spin_group(self.n).beta(p, grp) if self.spin else 1
+                move = self._group_moves[p, grp] = (beta, st.compose(p, grp))
+            return sign * move[0], (left, move[1], cliff, right)
         # kind == "R"
         if not bare:
             return None
@@ -488,6 +513,20 @@ class AlgebraSignature:
 
     def __repr__(self) -> str:
         return f"<{self.name} n={self.n}>"
+
+
+def clear_caches() -> None:
+    """Empty every memo table: scalar products, sums, negatives and texts,
+    the memoized permutation helpers and group texts, the SpinGroup tables,
+    and the tables of every signature and module.  Interned scalars,
+    signatures and modules stay, since equality compares them by identity."""
+    for table in (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE):
+        table.clear()
+    for fn in (st.inverse, st.perm_parity, st.transposition, st.lehmer_word,
+               st.spin_group, _plain_group_str, _spin_group_str):
+        fn.cache_clear()
+    for owner in list(_MEMO_OWNERS):
+        owner.clear_memo()
 
 
 def _idx_pow(base: str, e: int) -> str:

@@ -16,7 +16,14 @@ from functools import lru_cache
 
 from . import algebras as alg
 from . import structure as st
-from .engine import AlgebraError, Element, check_relations, element_from_terms, generator_element
+from .engine import (
+    _MEMO_OWNERS,
+    AlgebraError,
+    Element,
+    check_relations,
+    element_from_terms,
+    generator_element,
+)
 from .render import element_str
 from .reports import Report
 from .scalars import ONE, Scalar, W, add_term
@@ -61,6 +68,10 @@ class TensorSignature:
         self.u_scalar = inner.u_scalar
         self._zeros = tuple([0] * inner.n)
         self._mul_cache: dict = {}
+        _MEMO_OWNERS.add(self)
+
+    def clear_memo(self) -> None:
+        self._mul_cache.clear()
 
     @property
     def one_mono(self):

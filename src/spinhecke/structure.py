@@ -60,6 +60,7 @@ def compose(p: tuple, q: tuple) -> tuple:
     return tuple(p[j - 1] for j in q)
 
 
+@lru_cache(maxsize=None)
 def inverse(p: tuple) -> tuple:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -77,6 +78,7 @@ def length(p: tuple) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
+@lru_cache(maxsize=None)
 def perm_parity(p: tuple) -> int:
     """length(p) mod 2, computed via cycle structure."""
     n = len(p)
@@ -95,6 +97,7 @@ def perm_parity(p: tuple) -> int:
     return parity
 
 
+@lru_cache(maxsize=None)
 def transposition(i: int, j: int, n: int) -> tuple:
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"invalid transposition ({i},{j}) for rank {n}")
@@ -107,6 +110,7 @@ def all_perms(n: int):
     return (tuple(p) for p in itertools.permutations(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
 def lehmer_word(p: tuple) -> tuple:
     """The canonical reduced word of ``p``: strip off, for m = n, n-1, ...,
     the descending run s_{m-1} s_{m-2} ... s_k that moves m into place.
@@ -226,16 +230,6 @@ class SpinGroup:
         self._K = {identity(n): {tuple([0] * n): 1}}
         self._beta_cache = {}
         self._moves_cache = {}
-        self._lehmer_cache = {}
-
-    # -- canonical words ----------------------------------------------------
-
-    def canword(self, p: tuple) -> tuple:
-        word = self._lehmer_cache.get(p)
-        if word is None:
-            word = lehmer_word(p)
-            self._lehmer_cache[p] = word
-        return word
 
     # -- Clifford model -----------------------------------------------------
 
@@ -243,7 +237,7 @@ class SpinGroup:
         K = self._K.get(p)
         if K is not None:
             return K
-        word = self.canword(p)
+        word = lehmer_word(p)
         i = word[-1]
         prefix = compose(p, transposition(i, i + 1, self.n))
         Kpre = self._kappa(prefix)
@@ -274,7 +268,7 @@ class SpinGroup:
             if cb:
                 sgn, _ = cliff_mul(wa, wb)
                 coeff += sgn * ca * cb
-        m2 = len(self.canword(p)) + len(self.canword(q)) - len(self.canword(pq))
+        m2 = len(lehmer_word(p)) + len(lehmer_word(q)) - len(lehmer_word(pq))
         expected = (-2) ** (m2 // 2) * target
         if coeff == expected:
             sign = 1
@@ -291,7 +285,7 @@ class SpinGroup:
         """The Clifford coefficient K_p = (1/w)^l(p) K'_p of the model, over
         Q(w) (for cross-checks)."""
         scale = QOmega(1)
-        for _ in self.canword(p):
+        for _ in lehmer_word(p):
             scale = scale * _W_INV
         return {word: scale * QOmega(c) for word, c in self._kappa(p).items()}
 
@@ -315,7 +309,7 @@ class SpinGroup:
             if abs(a - b) >= 2:
                 v = compose(transposition(b, b + 1, self.n),
                             compose(transposition(a, a + 1, self.n), w))
-                C = (a, b) + self.canword(v)
+                C = (a, b) + lehmer_word(v)
                 # swapping the leading far pair costs one sign
                 sign = -self._sign_between(A[1:], C[1:]) * self._sign_between(
                     (b, a) + C[2:], B
@@ -324,7 +318,7 @@ class SpinGroup:
                 sa = transposition(a, a + 1, self.n)
                 sb = transposition(b, b + 1, self.n)
                 v = compose(sa, compose(sb, compose(sa, w)))
-                C = (a, b, a) + self.canword(v)
+                C = (a, b, a) + lehmer_word(v)
                 # braid move (a, b, a) -> (b, a, b) is sign-free
                 sign = self._sign_between(A[1:], C[1:]) * self._sign_between(
                     (b, a, b) + C[3:], B
@@ -335,16 +329,16 @@ class SpinGroup:
     def _mult_gen_by_words(self, sign: int, p: tuple, i: int) -> tuple:
         s_i = transposition(i, i + 1, self.n)
         target = compose(p, s_i)
-        cw = self.canword(p)
+        cw = lehmer_word(p)
         if length(target) > len(cw):
-            return sign * self._sign_between(cw + (i,), self.canword(target)), target
-        ending = self.canword(target) + (i,)
+            return sign * self._sign_between(cw + (i,), lehmer_word(target)), target
+        ending = lehmer_word(target) + (i,)
         return sign * self._sign_between(cw, ending), target
 
     def beta_by_words(self, p: tuple, q: tuple) -> int:
         """Independent oracle for :meth:`beta` via signed word rewriting."""
         sign, acc = 1, p
-        for i in self.canword(q):
+        for i in lehmer_word(q):
             sign, acc = self._mult_gen_by_words(sign, acc, i)
         return sign
 

@@ -7,10 +7,16 @@ import random
 import pytest
 
 from spinhecke import algebras as alg
+from spinhecke import dunkl as dk
+from spinhecke import engine
+from spinhecke import morphisms as mo
+from spinhecke import scalars as sc
+from spinhecke import structure as st
 from spinhecke.engine import (
     AlgebraError,
     Element,
     bracket,
+    clear_caches,
     confluence_probe,
     element_from_terms,
     generator_element,
@@ -19,6 +25,7 @@ from spinhecke.engine import (
     super_bracket,
     verify_relations,
 )
+from spinhecke.exprparse import parse_expression
 from spinhecke.render import element_json, element_str
 from spinhecke.scalars import ONE, U, QOmega
 
@@ -463,3 +470,80 @@ def test_affine_crossing_needs_no_deep_recursion():
             sys.setrecursionlimit(limit)
         # v_2^600 s_1 and the 600 words of each correction sum (one sum for b)
         assert len(prod.terms) == (1201 if v == "a" else 601)
+
+
+# _norm_cache key counts of single products in a fresh signature; the cross
+# rules, and so these counts, are fixed by the rewriting order
+NORM_CACHE_KEYS = (
+    ("trigdahca", 2, "epsv(1)^8*e(1)^8", 519),
+    ("dahca", 2, "y1^8*x1^8", 2031),
+    ("affinehc", 4, "s(1,4)*a1^6", 1783),
+)
+
+
+@pytest.mark.parametrize("family, n, expr, keys", NORM_CACHE_KEYS)
+def test_norm_cache_key_counts(family, n, expr, keys):
+    sig = alg._make.__wrapped__(family, n, None)
+    parse_expression(expr, sig)
+    assert len(sig._norm_cache) == keys
+    # every cross rule read its words from the per-signature table
+    assert sig._rule_cache
+    assert all(type(rules) is tuple for rules in sig._rule_cache.values())
+
+
+def test_memoized_helpers_raise_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid transposition"):
+            st.transposition(1, 1, 3)
+
+
+def test_rule_words_belong_to_their_signature():
+    # [y1, x2] = u T_12 = u (1 + c1 c2) s12, each signature with its own u:
+    # warming one must not hand its rule words to another
+    two = QOmega(2)
+    sigs = (alg.dahca(3), alg.dahca(3, two), alg._make.__wrapped__("dahca", 3, two))
+    for sig in sigs:
+        y1, x2 = (generator_element(sig, tok) for tok in (("y", 1), ("x", 2)))
+        u = sig.u_scalar
+        t12 = element_from_terms(sig, [(u, (("s", 1),)), (u, (("c", 1), ("c", 2), ("s", 1)))])
+        assert bracket(y1, x2) == t12, sig
+        assert sig._rule_cache
+    assert sigs[0].u_scalar == U and sigs[1].u_scalar != U
+
+
+def _memo_tables(owner):
+    return [v for k, v in vars(owner).items() if k.endswith(("_cache", "_moves"))]
+
+
+def _warm_every_table():
+    """Products in a Clifford, a spin and a tensor algebra, their texts, and
+    a Dunkl module check; returns a digest of the normal forms."""
+    h = hashlib.sha256()
+    for sig, expr in (
+        (alg.dahca(3), "(y1*c2*y2 + s1)^2*x1*x3"),
+        (alg.sdaha(3), "(y1*y2 + t1)^2*xi1*xi3*t2"),
+        (mo.tensor_with_clifford(alg.sdaha(2)), "y1*c1*t1*xi1*c2"),
+    ):
+        h.update(element_str(parse_expression(expr, sig)).encode())
+    assert dk.verify_module("sdaha", dk.regular_spin(2), degree_bound=2).ok
+    return h.hexdigest()
+
+
+def test_clear_caches_empties_every_table():
+    sig = alg.dahca(3)
+    digest = _warm_every_table()
+    warmed = (sig, alg.sdaha(3), mo.tensor_with_clifford(alg.sdaha(2)), dk.regular_spin(2))
+    assert all(any(_memo_tables(o)) for o in warmed)
+    owners = list(engine._MEMO_OWNERS)
+    lru = (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st.spin_group,
+           engine._plain_group_str, engine._spin_group_str)
+    scalar_tables = (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE)
+    assert all(fn.cache_info().currsize for fn in lru) and all(scalar_tables)
+    clear_caches()
+    assert not any(t for o in owners for t in _memo_tables(o))
+    assert not any(fn.cache_info().currsize for fn in lru) and not any(scalar_tables)
+    sg = st.spin_group(3)
+    assert not sg._beta_cache and not sg._moves_cache and len(sg._K) == 1
+    # interned scalars, signatures and modules survive, so equality still holds
+    assert sc._INTERN and alg.dahca(3) is sig
+    assert _warm_every_table() == digest

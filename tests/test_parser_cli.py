@@ -235,6 +235,7 @@ def test_cli_usage_errors_exit_two(capsys):
         ["cocycle-table", "--n", "-1"],
         ["cocycle-table", "--n", "0"],
         ["cocycle-table", "--n", "1"],
+        ["cocycle-table", "--n", "7"],
     ):
         assert main(argv) == 2, argv
     for argv, message in (
@@ -250,6 +251,8 @@ def test_cli_usage_errors_exit_two(capsys):
          "tr takes two indices (at position 0)"),
         (["normalize", "--algebra", "sym", "--n", "3", "--expr", "s(1,2,3)"],
          "s takes two indices (at position 0)"),
+        (["cocycle-table", "--n", "9"],
+         "cocycle-table prints (n!)^2 rows; --n 9 exceeds the limit 6"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
