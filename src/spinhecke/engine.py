@@ -41,19 +41,18 @@ terms, so the procedure terminates; the confluence suite checks
 independence of the result from association order.
 
 A right-letter power meeting the left slot is inserted in Horner order,
-r^k M = r (r^{k-1} M), so every (r^a, M) product is memoized once and the
-cross rules only see single letters r.  A letter r_i crosses a whole
-Laurent weight at once, r_i e^lam = e^lam r_i + [r_i, e^lam], with the
-closed geometric-sum commutator of :func:`trig_comm_word_terms`, and s_m
-crosses a whole power v_i^k of the left slot at once, by the closed sum
-s_m v_i^k = sigma^k v_j^k s_m + sum_{t<k} sigma^t v_j^t (eps + gamma C)
-v_i^(k-1-t) of the unit rule s_m v_i = sigma v_j s_m + eps + gamma C.
+r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step.  Each
+rule crosses a whole power in one closed sum: r_i l_j^l = l_j^l r_i +
+sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i,
+e^lam], by the geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k
+on the left slot, v_i^k s_m on the right, by the sums of
+:func:`_affine_words`.  So the rewriting depth does not grow with the degree,
+except for the negative powers of y in the localized forms.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 import weakref
 from functools import lru_cache
 from random import Random
@@ -62,8 +61,6 @@ from . import scalars as sc
 from . import structure as st
 from .reports import Report
 from .scalars import ONE, Scalar, QOmega, add_term
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
 __all__ = [
     "AlgebraSignature",
@@ -402,19 +399,12 @@ class AlgebraSignature:
                     add_term(dst, m2, c * c2)
         return out
 
-    def _insert(self, atom: tuple, mono: tuple) -> dict:
-        """atom * mono in normal form: a slot move, else :meth:`_cross`."""
-        hit = self._slot_insert(atom, mono)
-        if hit is not None:
-            return {hit[1]: ONE if hit[0] > 0 else _MINUS_ONE}
-        return self._cross(atom, mono)
-
     def _cross(self, atom: tuple, mono: tuple) -> dict:
         """atom * mono by a cross rule, memoized under the key (atom, mono)."""
-        key = (atom, mono)
-        cached = self._norm_cache.get(key)
-        if cached is not None:
-            return cached
+        cache = self._norm_cache
+        out = cache.get((atom, mono))
+        if out is not None:
+            return out
         left, grp, cliff, right = mono
         if not any(left):  # epsv_i or zeta_i against sigma
             first, rest = ("G", grp), (left, self._id, cliff, right)
@@ -424,20 +414,26 @@ class AlgebraSignature:
             j = next(j for j, e in enumerate(left) if e)
             first = ("L", j + 1, left[j])
             rest = (left[:j] + (0,) + left[j + 1:], grp, cliff, right)
-        if atom[0] == "R" and atom[2] > 1 and first[0] != "G":
-            # Horner order, R^k M = R (R^{k-1} M): shares the (R^{k-1}, M) memo
-            i = atom[1]
-            out = self._insert_word((("R", i, 1),), self._cross(("R", i, atom[2] - 1), mono))
-        else:
-            rules = self._rule_cache.get((atom, first))
+        horner = atom[0] == "R" and atom[2] > 1 and first[0] != "G"
+        base = ("R", atom[1], 1) if horner else atom
+        out = cache.get((base, mono))
+        if out is None:
+            rules = self._rule_cache.get((base, first))
             if rules is None:
-                rules = tuple((c, w) for c, w in _rewrite_pair(self, atom, first) if not c.is_zero)
-                self._rule_cache[atom, first] = rules
+                rules = tuple((c, w) for c, w in _rewrite_pair(self, base, first) if not c.is_zero)
+                self._rule_cache[base, first] = rules
             out = {}
             for coeff, repl in rules:
                 for m2, c2 in self._insert_word(repl, {rest: ONE}).items():
                     add_term(out, m2, coeff * c2)
-        self._norm_cache[key] = out
+            cache[base, mono] = out
+        if horner:
+            # Horner order, r^b M = r (r^{b-1} M) for b = 2..k, each step memoized
+            for b in range(2, atom[2] + 1):
+                step = cache.get((("R", atom[1], b), mono))
+                if step is None:
+                    step = cache[("R", atom[1], b), mono] = self._insert_word((base,), out)
+                out = step
         return out
 
     def _slot_insert(self, atom: tuple, mono: tuple):
@@ -627,40 +623,38 @@ def _affine_words(sig, left: bool, m: int, i: int, k: int) -> list:
         epsv_i s_m = s_m epsv_j -+ u + u c_m c_{m+1}
         zeta_i t_m = -t_m zeta_j + u
 
-    and a far letter passes with the sign (-1)^k when v is odd.  On the left
-    slot the unit rule s_m v_i = sigma v_j s_m + eps + gamma C, C = c_m
-    c_{m+1}, is applied k times in one step:
+    and a far letter passes with the sign (-1)^k when v is odd.  The unit
+    rule s_m v_i = sigma v_j s_m + eps + gamma C, C = c_m c_{m+1}, is applied
+    k times in one step:
 
         s_m v_i^k = sigma^k v_j^k s_m
                     + sum_{t<k} sigma^t v_j^t (eps + gamma C) v_i^(k-1-t)
 
-    (sigma = 1, gamma = -1 for a; sigma = -1, eps = 1, gamma = 0 for b).
-    The right slot peels one letter, with the words built in left-slot
-    order and mirrored."""
+    (sigma = 1, eps = -+1, gamma = -1 for a; sigma = -1, eps = 1, gamma = 0
+    for b), and the right slot is its mirror image, with eps = -+u and
+    gamma = u for epsv, and eps = u for zeta:
+
+        v_i^k s_m = sigma^k s_m v_j^k
+                    + sum_{t<k} sigma^t v_i^(k-1-t) (eps + gamma C) v_j^t
+
+    The words are built in left-slot order and reversed on the right."""
     slot, var = ("L", sig.left_var) if left else ("R", sig.right_var)
     odd = var in _ODD_VARS
     sm = ("G", st.transposition(m, m + 1, sig.n))
     j = 2 * m + 1 - i
     if i != m and i != m + 1:
         words = [(_MINUS_ONE if odd and k & 1 else ONE, ((slot, i, k), sm))]
-    elif left:
-        eps = ONE if odd or i > m else _MINUS_ONE
+    else:
+        unit = ONE if left else sig.u_scalar
+        eps = unit if odd or i > m else -unit
+        gamma = _MINUS_ONE if left else unit
         cm = ("C", _bits(sig, m, m + 1))
         words = [(_MINUS_ONE if odd and k & 1 else ONE, ((slot, j, k), sm))]
         for t in range(k):
             head, tail = (slot, j, t), (slot, i, k - 1 - t)
             words.append((-eps if odd and t & 1 else eps, (head, tail)))
             if not odd:
-                words.append((_MINUS_ONE, (head, cm, tail)))
-    else:
-        kappa = sig.u_scalar
-        rest = (slot, i, k - 1)
-        words = [
-            (_MINUS_ONE if odd else ONE, ((slot, j, 1), sm, rest)),
-            (kappa if odd or i > m else -kappa, (rest,)),
-        ]
-        if not odd:
-            words.append((kappa, (("C", _bits(sig, m, m + 1)), rest)))
+                words.append((gamma, (head, cm, tail)))
     return [(c, _wd(*(w if left else reversed(w)))) for c, w in words]
 
 
@@ -678,19 +672,23 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
         words = _affine_words(sig, left, m, i, k)
         return [(c, q + w) if left else (c, w + q) for c, w in words]
     i, k = A[1], A[2]
-    # Against L and E only k = 1 or k < 0 arrive here: _insert crosses a
-    # higher power one letter at a time.
+    # Against L and E only k = 1 or k < 0 arrive here: _cross inserts a
+    # higher power in Horner order, one letter r_i at a time.
     if B[0] == "E":
         # r_i e^lam = e^lam r_i + [r_i, e^lam], the closed form for the whole weight
         return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
     # B is an L atom: the rational double affine cross relation
     j, l = B[1], B[2]
-    tail = _wd(("L", j, l - 1))
     bracket = _bracket_words(sig, i, j)
     if k > 0:
-        return [(ONE, (("L", j, 1), A) + tail)] + [(c, w + tail) for c, w in bracket]
+        # r_i l_j^l = l_j^l r_i + sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t)
+        out = [(ONE, (B, A))]
+        for t in range(l):
+            head, tail = _wd(("L", j, t)), _wd(("L", j, l - 1 - t))
+            out += [(c, head + w + tail) for c, w in bracket]
+        return out
     # negative (localized) powers: y^k x = y^{k+1} (x y^{-1} - y^{-1}[y,x]y^{-1})
-    tail = (("R", i, -1),) + tail
+    tail = (("R", i, -1),) + _wd(("L", j, l - 1))
     out = [(ONE, _wd(("R", i, k + 1), ("L", j, 1)) + tail)]
     return out + [(-c, (A,) + w + tail) for c, w in bracket]
 

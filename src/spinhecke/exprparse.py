@@ -14,6 +14,8 @@ Generators: ``x1 y2 c3 s1 t2 xi1 a1 b2`` and the call forms
 ``e(1) einv(2) epsv(1) zeta(1) M(2) Ms(2) z(1) fz(1) phi(1) psi(1)
 s(1,3) tr(1,3)``.  Two-digit ``s13`` abbreviates the transposition
 ``s(1,3)``.  ``[A,B]`` is the commutator, ``{A,B}`` the anticommutator.
+Brackets nest at most ``MAX_NESTING`` = 100 levels deep; the parentheses of
+a call form do not count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ __all__ = ["ParseError", "parse_expression", "parse_scalar"]
 
 class ParseError(ValueError):
     """Lexical or syntactic error, with the offending position."""
+
+
+MAX_NESTING = 100  # the parser recurses once per open (, [ or {
 
 
 _TOKEN_RE = re.compile(
@@ -79,6 +84,7 @@ class _Parser:
         self.sig = sig
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open (, [ and { groups
 
     def peek(self):
         return self.tokens[self.pos]
@@ -146,22 +152,20 @@ class _Parser:
         kind, val, at = self.advance()
         if kind == "num":
             return Element.scalar(self.sig, Scalar.from_rational(int(val)))
-        if val == "(":
+        if val in ("(", "[", "{"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels at position {at}")
             out = self.expr()
-            self.expect(")")
+            if val == "(":
+                self.expect(")")
+            else:
+                self.expect(",")
+                rhs = self.expr()
+                self.expect("]" if val == "[" else "}")
+                out = bracket(out, rhs) if val == "[" else super_bracket(out, rhs, plus=True)
+            self.depth -= 1
             return out
-        if val == "[":
-            lhs = self.expr()
-            self.expect(",")
-            rhs = self.expr()
-            self.expect("]")
-            return bracket(lhs, rhs)
-        if val == "{":
-            lhs = self.expr()
-            self.expect(",")
-            rhs = self.expr()
-            self.expect("}")
-            return super_bracket(lhs, rhs, plus=True)
         if kind == "name":
             return self.named(val, at)
         raise ParseError(f"unexpected {val or 'end'!r} at position {at}")

@@ -26,7 +26,7 @@ from .engine import (
 )
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar, W, add_term
+from .scalars import ONE, Scalar, W
 
 __all__ = [
     "TensorSignature",
@@ -109,23 +109,18 @@ class TensorSignature:
         return 0
 
     def normalize(self, word) -> dict:
-        out = {self.one_mono: ONE}
-        for atom in reversed(word):
-            nxt: dict = {}
-            for (bits, im), c in out.items():
-                if atom[0] == "TC":
-                    sgn, nb = st.cliff_mul(atom[1], bits)
-                    terms = {(nb, im): ONE if sgn > 0 else -ONE}
-                else:
-                    ksign = st.koszul_sign(self._inner_atom_parity(atom[1]), sum(bits))
-                    terms = {
-                        (bits, im2): (c2 if ksign > 0 else -c2)
-                        for im2, c2 in self.inner._insert(atom[1], im).items()
-                    }
-                for m2, c2 in terms.items():
-                    add_term(nxt, m2, c * c2)
-            out = nxt
-        return out
+        """Each c-atom moves to the front with the Koszul sign against the
+        inner atoms on its left; the inner atoms normalize as one word."""
+        sign, bits, odd, inner = 1, self._zeros, 0, []
+        for atom in word:
+            if atom[0] == "TC":
+                s, bits = st.cliff_mul(bits, atom[1])
+                sign *= s * st.koszul_sign(sum(atom[1]), odd)
+            else:
+                inner.append(atom[1])
+                odd ^= self._inner_atom_parity(atom[1])
+        return {(bits, im): c if sign > 0 else -c
+                for im, c in self.inner.normalize(tuple(inner)).items()}
 
     def mul_mono(self, m1, m2) -> dict:
         key = (m1, m2)

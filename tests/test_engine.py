@@ -439,11 +439,21 @@ def test_laurent_products_associate(family):
         assert h.hexdigest() == LAURENT_PRODUCT_DIGESTS[family, n], (family, n)
 
 
-@pytest.mark.parametrize("factory, g, v", [(alg.affine_hc, "s", "a"), (alg.spin_affine, "t", "b")])
+@pytest.mark.parametrize(
+    "factory, g, v",
+    [
+        (alg.affine_hc, "s", "a"),
+        (alg.spin_affine, "t", "b"),
+        (alg.trig_dahca, "s", "epsv"),
+        (alg.trig_sdaha, "t", "zeta"),
+    ],
+)
 def test_affine_closed_crossing_matches_unit_letters(factory, g, v):
-    # s_m v_i^k crosses in one step by the closed sum over the power; the
-    # left-nested ((s_m v_i) v_i)... meets only the unit rule, one letter at
-    # a time; i = m, m + 1 and a far index
+    # s_m v_i^k (v = a, b) and v_i^k s_m (v = epsv, zeta) cross in one step
+    # by the closed sum over the power; the nested ((s_m v_i) v_i)... and
+    # v_i (v_i (... s_m)) meet only the unit rule, one letter at a time;
+    # i = m, m + 1 and a far index
+    right = v in ("epsv", "zeta")
     sig = factory(3)
     for m, far in ((1, 3), (2, 1)):
         s = generator_element(sig, (g, m))
@@ -451,32 +461,57 @@ def test_affine_closed_crossing_matches_unit_letters(factory, g, v):
             x = generator_element(sig, (v, i))
             nested = s
             for k in range(1, 9):
-                nested = nested * x
-                assert s * x**k == nested, (m, i, k)
+                nested = x * nested if right else nested * x
+                assert (x**k * s if right else s * x**k) == nested, (m, i, k)
+
+
+# products whose cross rules recursed once per letter when each letter of a
+# power crossed on its own; (family, n, expression, number of terms)
+DEEP_PRODUCTS = (
+    # v_2^600 s_1 and the 600 words of each correction sum (one sum for b)
+    ("affinehc", 3, "s1*a1^600", 1201),
+    ("spinaffine", 3, "t1*b1^600", 601),
+    ("dahca", 2, "y1*x1^600", 1201),
+    ("sdaha", 2, "y1*xi1^600", 601),
+    ("trigdahca", 2, "epsv(1)^600*s1", 1201),
+    ("trigsdaha", 2, "zeta(1)^600*t1", 601),
+    ("sdaha", 2, "y1^1100*xi1", 1101),
+)
 
 
 def test_affine_crossing_needs_no_deep_recursion():
     import sys
 
-    for factory, g, v in ((alg.affine_hc, "s", "a"), (alg.spin_affine, "t", "b")):
-        sig = factory(3)
-        s, x = generator_element(sig, (g, 1)), generator_element(sig, (v, 1))
-        power = x**600
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            prod = s * power
-        finally:
-            sys.setrecursionlimit(limit)
-        # v_2^600 s_1 and the 600 words of each correction sum (one sum for b)
-        assert len(prod.terms) == (1201 if v == "a" else 601)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for family, n, expr, terms in DEEP_PRODUCTS:
+            sig = alg._make.__wrapped__(family, n, None)
+            assert len(parse_expression(expr, sig).terms) == terms, expr
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_import_keeps_the_recursion_limit():
+    import os
+    import subprocess
+    import sys
+
+    import spinhecke
+
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import spinhecke.cli; assert sys.getrecursionlimit() == before"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinhecke.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # _norm_cache key counts of single products in a fresh signature; the cross
 # rules, and so these counts, are fixed by the rewriting order
 NORM_CACHE_KEYS = (
     ("trigdahca", 2, "epsv(1)^8*e(1)^8", 519),
-    ("dahca", 2, "y1^8*x1^8", 2031),
+    ("dahca", 2, "y1^8*x1^8", 799),
     ("affinehc", 4, "s(1,4)*a1^6", 1783),
 )
 

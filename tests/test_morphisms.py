@@ -52,6 +52,21 @@ def test_tensor_relations_hold():
         assert report.ok, str(report)
 
 
+def test_tensor_normal_form_matches_products():
+    # normalize moves each c to the front with its Koszul sign and straightens
+    # the inner word once; mul_mono multiplies generator by generator
+    rng = random.Random(31)
+    for inner in (alg.sdaha(3), alg.spin_affine(3)):
+        tsig = mo.tensor_with_clifford(inner)
+        tokens = tsig.generator_tokens()
+        for _ in range(40):
+            word = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
+            expected = Element.one(tsig)
+            for tok in word:
+                expected = expected * generator_element(tsig, tok)
+            assert element_from_terms(tsig, [(ONE, word)]) == expected, (inner, word)
+
+
 def test_homomorphisms_forward():
     for name in ("PhiFin", "PhiHat", "Phi", "PhiTr"):
         for n in (2, 3):

@@ -11,7 +11,7 @@ from spinhecke import algebras as alg
 from spinhecke import cli
 from spinhecke.cli import main
 from spinhecke.engine import element_from_terms, monomial_element, random_monomial
-from spinhecke.exprparse import ParseError, parse_expression, parse_scalar
+from spinhecke.exprparse import MAX_NESTING, ParseError, parse_expression, parse_scalar
 from spinhecke.render import element_str
 from spinhecke.scalars import ONE, U, Scalar, W
 
@@ -253,10 +253,16 @@ def test_cli_usage_errors_exit_two(capsys):
          "s takes two indices (at position 0)"),
         (["cocycle-table", "--n", "9"],
          "cocycle-table prints (n!)^2 rows; --n 9 exceeds the limit 6"),
+        (["normalize", "--algebra", "dahca", "--n", "2", "--expr",
+          "(" * 20000 + "y1*x1" + ")" * 20000],
+         "brackets nest deeper than 100 levels at position 100"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n"
+    # exactly MAX_NESTING levels, around call-form parentheses, still parse
+    expr = "(" * MAX_NESTING + "epsv(1)^2*s1*e(2)" + ")" * MAX_NESTING
+    assert main(["normalize", "--algebra", "trigdahca", "--n", "2", "--expr", expr]) == 0
 
 
 def test_cli_non_scalar_flag_message(capsys):
