@@ -309,26 +309,19 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
     mod = v.module
     n = mod.n
     kind = token[0]
-    if kind in ("sij", "oddtr", "perm"):
+    if kind in ("s", "t", "sij", "oddtr", "perm"):
         if kind == "perm":
             sgn, perm = 1, token[1]
-        elif kind == "sij":
-            sgn, perm = 1, st.transposition(token[1], token[2], n)
-        else:
+        elif kind == "oddtr":
             sgn, perm = st.spin_group(n).odd_transposition(token[1], token[2])
+        else:  # s(i,j), or the simple transposition (m, m+1) of s_m and t_m
+            j = token[2] if kind == "sij" else token[1] + 1
+            sgn, perm = 1, st.transposition(token[1], j, n)
         out: dict = {}
         for (exps, w), coeff in v.terms.items():
             for c2, w2 in mod.act_perm(perm, w):
                 val = coeff * c2
                 add_term(out, (_permute_exps(perm, exps), w2), val if sgn > 0 else -val)
-        return InducedVector(mod, v.side, out)
-    if kind in ("s", "t"):
-        m = token[1]
-        perm = st.transposition(m, m + 1, n)
-        out = {}
-        for (exps, w), coeff in v.terms.items():
-            for c2, w2 in mod.act_gen(token, w):
-                add_term(out, (_permute_exps(perm, exps), w2), coeff * c2)
         return InducedVector(mod, v.side, out)
     if kind == "c":
         i = token[1]

@@ -25,6 +25,7 @@ __all__ = [
     "UINV",
     "W",
     "add_term",
+    "power",
 ]
 
 
@@ -392,14 +393,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, ONE)
 
     # -- evaluation / rendering --------------------------------------------
 
@@ -490,6 +484,19 @@ ONE = Scalar.from_rational(1)
 U = Scalar.u_power(1)
 UINV = Scalar.u_power(-1)
 W = Scalar.from_qomega(_QW)
+
+
+def power(base, k: int, one):
+    """base^k for k >= 0 by square-and-multiply, from ``one``; the base is
+    squared only while a higher bit of k remains."""
+    out = one
+    while True:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def add_term(acc: dict, key, val) -> None:

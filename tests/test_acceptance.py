@@ -25,6 +25,8 @@ from spinhecke.engine import (
 from spinhecke.scalars import ONE, U, QOmega, Scalar
 from spinhecke.structure import all_perms, compose, spin_group
 
+from unit_weights import unit_weight_product
+
 ALL_FACTORIES = (
     alg.sym,
     alg.clifford_sym,
@@ -261,22 +263,6 @@ def test_criterion_08_centers():
     _criterion(8, ok, "power sums and both worked examples central; non-central witness fails", t0)
 
 
-def _unit_weight_product(r, eta, sig):
-    """((r e_j1) e_j2)... over |eta_j| unit generators e(j) or einv(j) each.
-
-    Every product crosses r with one unit weight only, so the engine applies
-    the defining (unit) instance of the eta-commutator rule and never the
-    closed form for eta itself.
-    """
-    prod = r
-    for j, e in enumerate(eta, start=1):
-        if e:
-            unit = generator_element(sig, ("e" if e > 0 else "einv", j))
-            for _ in range(abs(e)):
-                prod = prod * unit
-    return prod
-
-
 def test_criterion_09_rational_trig():
     t0 = time.time()
     ok = True
@@ -296,11 +282,11 @@ def test_criterion_09_rational_trig():
             i = rng.randint(1, n)
             ev = generator_element(tsig, ("epsv", i))
             e_eta = element_from_terms(tsig, [(ONE, (("E", eta),))])
-            if _unit_weight_product(ev, eta, tsig) - e_eta * ev != cf.trig_commutator(i, eta, tsig):
+            if unit_weight_product(ev, eta, tsig) - e_eta * ev != cf.trig_commutator(i, eta, tsig):
                 ok = False
             z = generator_element(ssig, ("zeta", i))
             es_eta = element_from_terms(ssig, [(ONE, (("E", eta),))])
-            if _unit_weight_product(z, eta, ssig) - es_eta * z != sf.spin_trig_commutator(i, eta, ssig):
+            if unit_weight_product(z, eta, ssig) - es_eta * z != sf.spin_trig_commutator(i, eta, ssig):
                 ok = False
     _criterion(9, ok, "j o iota = id, iota o j = id; closed eta-commutator = Leibniz on 200 random weights", t0)
 

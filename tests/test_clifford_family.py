@@ -16,6 +16,8 @@ from spinhecke.engine import (
 from spinhecke.render import element_str
 from spinhecke.scalars import ONE, U, QOmega, Scalar
 
+from unit_weights import unit_weight_product
+
 
 def test_jm_base_cases():
     d2 = alg.dahca(2)
@@ -193,22 +195,6 @@ def test_trig_commutator_examples():
     assert cf.trig_commutator(1, (0, 0), sig).is_zero
 
 
-def _unit_weight_product(r, eta, sig):
-    """((r e_j1) e_j2)... over |eta_j| unit generators e(j) or einv(j) each.
-
-    Every product crosses r with one unit weight only, so the engine applies
-    the defining (unit) instance of the eta-commutator rule and never the
-    closed form for eta itself.
-    """
-    prod = r
-    for j, e in enumerate(eta, start=1):
-        if e:
-            unit = generator_element(sig, ("e" if e > 0 else "einv", j))
-            for _ in range(abs(e)):
-                prod = prod * unit
-    return prod
-
-
 def test_trig_commutator_matches_engine():
     # Leibniz evaluation through the unit rewrite rules equals the closed form
     rng = random.Random(77)
@@ -219,7 +205,7 @@ def test_trig_commutator_matches_engine():
             i = rng.randint(1, n)
             ev = generator_element(sig, ("epsv", i))
             e_eta = element_from_terms(sig, [(ONE, (("E", eta),))])
-            assert _unit_weight_product(ev, eta, sig) - e_eta * ev == cf.trig_commutator(i, eta, sig)
+            assert unit_weight_product(ev, eta, sig) - e_eta * ev == cf.trig_commutator(i, eta, sig)
 
 
 def test_trig_affine_subalgebra_scaling():

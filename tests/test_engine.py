@@ -582,3 +582,34 @@ def test_clear_caches_empties_every_table():
     # interned scalars, signatures and modules survive, so equality still holds
     assert sc._INTERN and alg.dahca(3) is sig
     assert _warm_every_table() == digest
+
+
+def test_signature_keeps_four_memo_tables():
+    # products insert into the whole right element, so no per-pair product
+    # table sits next to the cross rules and slot moves
+    four = {"_norm_cache", "_rule_cache", "_group_moves", "_cliff_moves"}
+    _warm_every_table()
+    for sig in (alg.dahca(3), alg.sdaha(3), alg.sdaha(2)):
+        assert {k for k, v in vars(sig).items() if isinstance(v, dict)} == four, sig
+    assert all(getattr(alg.dahca(3), k) for k in four)
+
+
+def test_power_stops_squaring_after_the_top_bit(monkeypatch):
+    sig = alg.dahca(3)
+    e = parse_expression("x1+y2+s1", sig)
+    expected = Element.one(sig)
+    for _ in range(6):
+        expected = expected * e
+    calls = []
+    mul = Element.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    assert e ** 6 == expected
+    assert len(calls) == 4  # e^2, 1*e^2, e^4, e^2*e^4
+    assert e ** 0 == Element.one(sig) and e ** 1 == e
+    s = U + ONE
+    assert s ** 6 == s * s * s * s * s * s and s ** 0 == ONE and s ** -2 == ONE / (s * s)

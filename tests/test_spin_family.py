@@ -18,6 +18,8 @@ from spinhecke.engine import (
 from spinhecke.render import element_str
 from spinhecke.scalars import ONE, U, QOmega, Scalar
 
+from unit_weights import unit_weight_product
+
 
 def test_odd_jm_base_cases():
     s2 = alg.sdaha(2)
@@ -163,22 +165,6 @@ def test_spin_trig_commutator_examples():
     assert sf.spin_trig_commutator(1, (0, 0), sig).is_zero
 
 
-def _unit_weight_product(r, eta, sig):
-    """((r e_j1) e_j2)... over |eta_j| unit generators e(j) or einv(j) each.
-
-    Every product crosses r with one unit weight only, so the engine applies
-    the defining (unit) instance of the eta-commutator rule and never the
-    closed form for eta itself.
-    """
-    prod = r
-    for j, e in enumerate(eta, start=1):
-        if e:
-            unit = generator_element(sig, ("e" if e > 0 else "einv", j))
-            for _ in range(abs(e)):
-                prod = prod * unit
-    return prod
-
-
 def test_spin_trig_commutator_matches_engine():
     rng = random.Random(99)
     for n in (2, 3):
@@ -188,7 +174,7 @@ def test_spin_trig_commutator_matches_engine():
             i = rng.randint(1, n)
             z = generator_element(sig, ("zeta", i))
             e_eta = element_from_terms(sig, [(ONE, (("E", eta),))])
-            assert _unit_weight_product(z, eta, sig) - e_eta * z == sf.spin_trig_commutator(i, eta, sig)
+            assert unit_weight_product(z, eta, sig) - e_eta * z == sf.spin_trig_commutator(i, eta, sig)
 
 
 def test_distinguished_parities():
