@@ -309,6 +309,8 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
     mod = v.module
     n = mod.n
     kind = token[0]
+    if kind in ("s", "t") and (kind == "t") != mod.spin:
+        raise AlgebraError(f"{mod.name} module has no action for {token!r}")
     if kind in ("s", "t", "sij", "oddtr", "perm"):
         if kind == "perm":
             sgn, perm = 1, token[1]

@@ -127,13 +127,15 @@ class AlgebraSignature:
         self._id = st.identity(n)
         self._zeros = tuple([0] * n)
         self._norm_cache: dict = {}  # (atom, mono) -> cross-rule result
+        self._mul_cache: dict = {}  # (mono, mono) -> product
         self._rule_cache: dict = {}  # (atom, leading atom) -> rule words
         self._group_moves: dict = {}  # (p, grp) -> (sign, p o grp)
         self._cliff_moves: dict = {}  # (grp, bits, cliff) -> (sign, bits')
         _MEMO_OWNERS.add(self)
 
     def clear_memo(self) -> None:
-        for table in (self._norm_cache, self._rule_cache, self._group_moves, self._cliff_moves):
+        for table in (self._norm_cache, self._mul_cache, self._rule_cache,
+                      self._group_moves, self._cliff_moves):
             table.clear()
 
     # -- basic monomial helpers ---------------------------------------------
@@ -343,10 +345,13 @@ class AlgebraSignature:
         atoms += [("R", i, e) for i, e in enumerate(right, start=1) if e]
         return tuple(atoms)
 
-    def mul_terms(self, m1: tuple, terms: dict) -> dict:
-        """m1 * terms in normal form: the atoms of m1 inserted into every term
-        at once, so right terms may cancel before a cross rule fires."""
-        return self._insert_word(self.mono_atoms(m1), terms)
+    def mul_mono(self, m1: tuple, m2: tuple) -> dict:
+        key = (m1, m2)
+        out = self._mul_cache.get(key)
+        if out is None:
+            out = self._insert_word(self.mono_atoms(m1), {m2: ONE})
+            self._mul_cache[key] = out
+        return out
 
     def normalize(self, word: tuple) -> dict:
         """Straighten an atom word; returns {monomial: Scalar}."""
@@ -747,8 +752,10 @@ class Element:
         sig = self.sig
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m, c in sig.mul_terms(m1, other.terms).items():
-                add_term(out, m, c1 * c)
+            for m2, c2 in other.terms.items():
+                c12 = c1 * c2
+                for m, c in sig.mul_mono(m1, m2).items():
+                    add_term(out, m, c12 * c)
         return Element(sig, out)
 
     def __pow__(self, k: int) -> "Element":

@@ -26,7 +26,7 @@ from .engine import (
 )
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar, W, add_term
+from .scalars import ONE, Scalar, W
 
 __all__ = [
     "TensorSignature",
@@ -122,16 +122,7 @@ class TensorSignature:
         return {(bits, im): c if sign > 0 else -c
                 for im, c in self.inner.normalize(tuple(inner)).items()}
 
-    def mul_terms(self, m1, terms: dict) -> dict:
-        out: dict = {}
-        for m2, c2 in terms.items():
-            for m, c in self._mul_mono(m1, m2).items():
-                add_term(out, m, c2 * c)
-        return out
-
-    def _mul_mono(self, m1, m2) -> dict:
-        # memoized per pair: without this table the `suite` benchmark's
-        # run_s was 15-23% worse (3 paired runs, 2 CPUs, Python 3.11)
+    def mul_mono(self, m1, m2) -> dict:
         key = (m1, m2)
         cached = self._mul_cache.get(key)
         if cached is not None:
@@ -142,7 +133,7 @@ class TensorSignature:
         csgn, bits = st.cliff_mul(bits1, bits2)
         sign *= csgn
         out = {}
-        for im, c in self.inner.mul_terms(im1, {im2: ONE}).items():
+        for im, c in self.inner.mul_mono(im1, im2).items():
             out[(bits, im)] = c if sign > 0 else -c
         self._mul_cache[key] = out
         return out

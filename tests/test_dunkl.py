@@ -119,6 +119,10 @@ def test_wrong_module_kind_raises():
         dk.dunkl_xi(1, dk.InducedVector.vacuum(dk.basic_spin(2), "y"))
     with pytest.raises(AlgebraError):
         dk.dunkl_y(1, dk.InducedVector.vacuum(dk.basic_spin(2), "y"))
+    with pytest.raises(AlgebraError):
+        dk.act_token(("s", 1), dk.InducedVector.vacuum(dk.regular_spin(2), "y"))
+    with pytest.raises(AlgebraError):
+        dk.act_token(("t", 1), dk.InducedVector.vacuum(dk.basic_spin(2), "y"))
 
 
 def test_verify_module_small(monkeypatch):

@@ -584,14 +584,14 @@ def test_clear_caches_empties_every_table():
     assert _warm_every_table() == digest
 
 
-def test_signature_keeps_four_memo_tables():
-    # products insert into the whole right element, so no per-pair product
-    # table sits next to the cross rules and slot moves
-    four = {"_norm_cache", "_rule_cache", "_group_moves", "_cliff_moves"}
+def test_signature_keeps_five_memo_tables():
+    # cross rules, pair products, rule words and slot moves; a new table
+    # must also join clear_memo
+    five = {"_norm_cache", "_mul_cache", "_rule_cache", "_group_moves", "_cliff_moves"}
     _warm_every_table()
     for sig in (alg.dahca(3), alg.sdaha(3), alg.sdaha(2)):
-        assert {k for k, v in vars(sig).items() if isinstance(v, dict)} == four, sig
-    assert all(getattr(alg.dahca(3), k) for k in four)
+        assert {k for k, v in vars(sig).items() if isinstance(v, dict)} == five, sig
+    assert all(getattr(alg.dahca(3), k) for k in five)
 
 
 def test_power_stops_squaring_after_the_top_bit(monkeypatch):

@@ -54,7 +54,7 @@ def test_tensor_relations_hold():
 
 def test_tensor_normal_form_matches_products():
     # normalize moves each c to the front with its Koszul sign and straightens
-    # the inner word once; mul_terms multiplies generator by generator
+    # the inner word once; mul_mono multiplies generator by generator
     rng = random.Random(31)
     for inner in (alg.sdaha(3), alg.spin_affine(3)):
         tsig = mo.tensor_with_clifford(inner)
