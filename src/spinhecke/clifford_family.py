@@ -14,7 +14,7 @@ from .engine import (
     generator_element,
     trig_comm_word_terms,
 )
-from .morphisms import Morphism, _images, _jm_terms, check_homomorphism
+from .morphisms import _jm_terms, check_affine_map
 from .render import element_str
 from .reports import Report
 from .scalars import ONE, Scalar, add_term
@@ -75,29 +75,17 @@ def intertwiner_phi(i: int, sig) -> Element:
 def affine_embedding_check(alpha: Scalar, n: int) -> Report:
     """a_i -> alpha*x_i + z_i, c_i -> c_i, s_i -> s_i must satisfy every
     affine Hecke-Clifford relation inside the double affine algebra."""
-    src = alg.affine_hc(n)
     tgt = alg.dahca(n)
-    images = {("c", i): generator_element(tgt, ("c", i)) for i in range(1, n + 1)}
-    images.update({("s", i): generator_element(tgt, ("s", i)) for i in range(1, n)})
-    for i in range(1, n + 1):
-        images[("a", i)] = generator_element(tgt, ("x", i)).scale(alpha) + z_element(i, tgt)
-    m = Morphism(f"AffineEmbed[alpha={alpha.render()}]", src, tgt, images)
-    return check_homomorphism(m)
+    return check_affine_map(
+        f"AffineEmbed[alpha={alpha.render()}]", alg.affine_hc(n), tgt,
+        lambda i: generator_element(tgt, ("x", i)).scale(alpha) + z_element(i, tgt))
 
 
 def evaluation_hom_check(n: int) -> Report:
     """The evaluation homomorphism a_i -> M_i onto C_n x| CS_n."""
-    src = alg.affine_hc(n)
     tgt = alg.clifford_sym(n)
-    table = {("c", i): [(ONE, (("c", i),))] for i in range(1, n + 1)}
-    table.update({("s", i): [(ONE, (("s", i),))] for i in range(1, n)})
-    images = _images(tgt, table)
-    for i in range(1, n + 1):
-        images[("a", i)] = jucys_murphy(i, tgt)
-    m = Morphism("Evaluation", src, tgt, images)
-    report = check_homomorphism(m)
-    report.add("a1->0", images[("a", 1)].is_zero, element_str(images[("a", 1)]))
-    return report
+    return check_affine_map("Evaluation", alg.affine_hc(n), tgt,
+                            lambda i: jucys_murphy(i, tgt), first_vanishes=True)
 
 
 def center_check(candidate: Element) -> Report:
@@ -159,12 +147,7 @@ def trig_affine_subalgebra_check(n: int) -> Report:
     """a_i -> u^{-1} epsv_i, c_i -> c_i, s_i -> s_i satisfies every affine
     Hecke-Clifford relation inside the trigonometric algebra (the hecke
     relation there carries u, so the embedded generators must be rescaled)."""
-    src = alg.affine_hc(n)
     tgt = alg.trig_dahca(n)
     uinv = _u_inverse(tgt)
-    images = {("c", i): generator_element(tgt, ("c", i)) for i in range(1, n + 1)}
-    images.update({("s", i): generator_element(tgt, ("s", i)) for i in range(1, n)})
-    for i in range(1, n + 1):
-        images[("a", i)] = generator_element(tgt, ("epsv", i)).scale(uinv)
-    m = Morphism("TrigAffineEmbed", src, tgt, images)
-    return check_homomorphism(m)
+    return check_affine_map("TrigAffineEmbed", alg.affine_hc(n), tgt,
+                            lambda i: generator_element(tgt, ("epsv", i)).scale(uinv))

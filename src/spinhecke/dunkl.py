@@ -67,10 +67,7 @@ class FiniteModule:
 
     def act_perm(self, perm: tuple, idx: int):
         letter = "t" if self.spin else "s"
-        terms = [(ONE, idx)]
-        for m in reversed(st.lehmer_word(perm)):
-            terms = self._apply((letter, m), terms)
-        return terms
+        return self.act_tokens([(letter, m) for m in st.lehmer_word(perm)], idx)
 
     def _apply(self, token, terms):
         acc: dict = {}
@@ -424,18 +421,8 @@ def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y"
     for (left, grp, cliff, right), coeff in prod.terms.items():
         if any(right):
             continue
-        terms = [(ONE, idx)]
-        if cliff:
-            for i in range(n, 0, -1):
-                if cliff[i - 1]:
-                    terms = W._apply(("c", i), terms)
-        if grp != st.identity(n):
-            merged = []
-            for c2, w2 in terms:
-                for c3, w3 in W.act_perm(grp, w2):
-                    merged.append((c2 * c3, w3))
-            terms = merged
-        for c2, w2 in terms:
+        # the group and Clifford slots act on w through W's own generators
+        for c2, w2 in W.act_tokens(sig.letters((("G", grp), ("C", cliff))), idx):
             add_term(out, (left, w2), coeff * c2)
     return InducedVector(W, side, out)
 

@@ -41,13 +41,17 @@ terms, so the procedure terminates; the confluence suite checks
 independence of the result from association order.
 
 A right-letter power meeting the left slot is inserted in Horner order,
-r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step.  Each
-rule crosses a whole power in one closed sum: r_i l_j^l = l_j^l r_i +
-sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i,
-e^lam], by the geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k
-on the left slot, v_i^k s_m on the right, by the sums of
-:func:`_affine_words`.  So the rewriting depth does not grow with the degree,
-except for the negative powers of y in the localized forms.
+r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step; a
+negative power of y runs the same loop with r = y_i^-1.  Each rule crosses
+a whole power in one closed sum: r_i l_j^l = l_j^l r_i + sum_{t<l} l_j^t
+[r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i, e^lam], by the
+geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k on the left
+slot, v_i^k s_m on the right, by the sums of :func:`_affine_words`.  So the
+rewriting depth does not grow with the power of the right letter.  It still
+grows with the left degree against y_i^-1, which crosses one l_j at a time,
+y_i^-1 l_j = l_j y_i^-1 - y_i^-1 [y_i, l_j] y_i^-1, and meets y_i^-1 again:
+``y1^-1*x1^600`` exceeds Python's default recursion limit, and nothing
+bounds the work of ``y1^-1*x1^300``.
 """
 
 from __future__ import annotations
@@ -261,25 +265,38 @@ class AlgebraSignature:
 
     def mono_tokens(self, m: tuple) -> tuple:
         """Decompose a basis monomial into its generator token word."""
-        left, grp, cliff, right = m
+        return self.letters(self.mono_atoms(m))
+
+    def letters(self, atoms) -> tuple:
+        """The generator letters of an atom word: a power repeats its letter
+        (``yinv`` for a negative one), a Laurent weight becomes ``e`` and
+        ``einv`` letters, a group element its reduced word in ``s`` or ``t``,
+        and a Clifford word its ``c_i`` by increasing i."""
         toks: list = []
-        if self.left_laurent:
-            for i, e in enumerate(left, start=1):
-                toks += [("e" if e > 0 else "einv", i)] * abs(e)
-        else:
-            for i, e in enumerate(left, start=1):
-                toks += [(self.left_var, i)] * e
-        letter = "t" if self.spin else "s"
-        toks += [(letter, i) for i in st.lehmer_word(grp)]
-        for i, bit in enumerate(cliff, start=1):
-            if bit:
-                toks.append(("c", i))
-        for i, e in enumerate(right, start=1):
-            if e >= 0:
-                toks += [(self.right_var, i)] * e
+        for atom in atoms:
+            kind = atom[0]
+            if kind in ("L", "R"):
+                var = self.left_var if kind == "L" else self.right_var
+                toks += [(var, atom[1]) if atom[2] > 0 else ("yinv", atom[1])] * abs(atom[2])
+            elif kind == "E":
+                for i, e in enumerate(atom[1], start=1):
+                    toks += [("e" if e > 0 else "einv", i)] * abs(e)
+            elif kind == "G":
+                toks += [("t" if self.spin else "s", i) for i in st.lehmer_word(atom[1])]
             else:
-                toks += [("yinv", i)] * (-e)
+                toks += [("c", i) for i, bit in enumerate(atom[1], start=1) if bit]
         return tuple(toks)
+
+    def atom_parity(self, atom: tuple) -> int:
+        """The Z/2 degree of one atom: odd powers of xi, b and zeta, odd
+        group elements in the spin algebras, and odd Clifford words."""
+        kind = atom[0]
+        if kind in ("L", "R"):
+            var = self.left_var if kind == "L" else self.right_var
+            return atom[2] & 1 if var in _ODD_VARS else 0
+        if kind == "G":
+            return st.perm_parity(atom[1]) if self.spin else 0
+        return sum(atom[1]) & 1 if kind == "C" else 0
 
     # -- text ------------------------------------------------------------------
 
@@ -414,8 +431,8 @@ class AlgebraSignature:
             j = next(j for j, e in enumerate(left) if e)
             first = ("L", j + 1, left[j])
             rest = (left[:j] + (0,) + left[j + 1:], grp, cliff, right)
-        horner = atom[0] == "R" and atom[2] > 1 and first[0] != "G"
-        base = ("R", atom[1], 1) if horner else atom
+        horner = atom[0] == "R" and abs(atom[2]) > 1 and first[0] != "G"
+        base = ("R", atom[1], 1 if atom[2] > 0 else -1) if horner else atom
         out = cache.get((base, mono))
         if out is None:
             rules = self._rule_cache.get((base, first))
@@ -428,11 +445,13 @@ class AlgebraSignature:
                     add_term(out, m2, coeff * c2)
             cache[base, mono] = out
         if horner:
-            # Horner order, r^b M = r (r^{b-1} M) for b = 2..k, each step memoized
-            for b in range(2, atom[2] + 1):
-                step = cache.get((("R", atom[1], b), mono))
+            # Horner order, r^b M = r (r^{b-1} M) for b = 2..|k| with r = y_i^-1
+            # when k < 0, each step memoized
+            for b in range(2, abs(atom[2]) + 1):
+                key = (("R", atom[1], base[2] * b), mono)
+                step = cache.get(key)
                 if step is None:
-                    step = cache[("R", atom[1], b), mono] = self._insert_word((base,), out)
+                    step = cache[key] = self._insert_word((base,), out)
                 out = step
         return out
 
@@ -672,8 +691,8 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
         words = _affine_words(sig, left, m, i, k)
         return [(c, q + w) if left else (c, w + q) for c, w in words]
     i, k = A[1], A[2]
-    # Against L and E only k = 1 or k < 0 arrive here: _cross inserts a
-    # higher power in Horner order, one letter r_i at a time.
+    # Against L and E only k = +-1 arrive here: _cross inserts a higher
+    # power in Horner order, one letter r_i or y_i^-1 at a time.
     if B[0] == "E":
         # r_i e^lam = e^lam r_i + [r_i, e^lam], the closed form for the whole weight
         return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
@@ -687,10 +706,10 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
             head, tail = _wd(("L", j, t)), _wd(("L", j, l - 1 - t))
             out += [(c, head + w + tail) for c, w in bracket]
         return out
-    # negative (localized) powers: y^k x = y^{k+1} (x y^{-1} - y^{-1}[y,x]y^{-1})
-    tail = (("R", i, -1),) + _wd(("L", j, l - 1))
-    out = [(ONE, _wd(("R", i, k + 1), ("L", j, 1)) + tail)]
-    return out + [(-c, (A,) + w + tail) for c, w in bracket]
+    # y_i^-1 l_j^l = l_j y_i^-1 l_j^(l-1) - y_i^-1 [y_i, l_j] y_i^-1 l_j^(l-1), one
+    # l_j at a time: a closed sum over t would cross the inner y_i^-1 l times
+    tail = (A,) + _wd(("L", j, l - 1))
+    return [(ONE, (("L", j, 1),) + tail)] + [(-c, (A,) + w + tail) for c, w in bracket]
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +816,7 @@ class Element:
 
     def parity(self) -> str:
         seen = {self.sig.parity_mono(m) for m in self.terms}
-        if not seen:
-            return "even"
-        if seen == {0}:
+        if seen <= {0}:
             return "even"
         if seen == {1}:
             return "odd"

@@ -62,16 +62,13 @@ _GEN_PREFIXES = ("xi", "x", "y", "c", "s", "t", "a", "b", "zeta", "epsv")
 
 
 def _tokenize(text: str):
+    """One regex scan up to the trailing whitespace, in linear time."""
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, stop = 0, len(text.rstrip())
+    while pos < stop:
         m = _TOKEN_RE.match(text, pos)
-        if m is None or not text[pos:].strip():
-            if not text[pos:].strip():
-                break
+        if m is None:
             raise ParseError(f"lexical error at position {pos}: {text[pos:pos+8]!r}")
-        if m.lastgroup is None:
-            break
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))

@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _W_INV = ONE / W
-_ODD_TOKENS = frozenset({"xi", "b", "zeta", "t"})
 
 
 class TensorSignature:
@@ -94,19 +93,17 @@ class TensorSignature:
         return [("c", i) for i in range(1, self.n + 1)] + self.inner.generator_tokens()
 
     def mono_tokens(self, m):
-        bits, im = m
-        toks = [("c", i) for i, bit in enumerate(bits, start=1) if bit]
-        return tuple(toks) + self.inner.mono_tokens(im)
+        return self.letters((("TC", m[0]),)) + self.inner.mono_tokens(m[1])
 
-    def _inner_atom_parity(self, atom) -> int:
-        kind = atom[0]
-        if kind == "G":
-            return st.perm_parity(atom[1]) if self.inner.spin else 0
-        if kind == "L":
-            return (atom[2] & 1) if self.inner.left_var in ("xi", "b") else 0
-        if kind == "R":
-            return (atom[2] & 1) if self.inner.right_var in ("xi", "b", "zeta") else 0
-        return 0
+    def letters(self, atoms) -> tuple:
+        """The generator letters of a tensor atom word, in word order."""
+        toks: list = []
+        for kind, a in atoms:
+            if kind == "TC":
+                toks += [("c", i) for i, bit in enumerate(a, start=1) if bit]
+            else:
+                toks += self.inner.letters((a,))
+        return tuple(toks)
 
     def normalize(self, word) -> dict:
         """Each c-atom moves to the front with the Koszul sign against the
@@ -118,7 +115,7 @@ class TensorSignature:
                 sign *= s * st.koszul_sign(sum(atom[1]), odd)
             else:
                 inner.append(atom[1])
-                odd ^= self._inner_atom_parity(atom[1])
+                odd ^= self.inner.atom_parity(atom[1])
         return {(bits, im): c if sign > 0 else -c
                 for im, c in self.inner.normalize(tuple(inner)).items()}
 
@@ -142,7 +139,7 @@ class TensorSignature:
         n = self.n
         rels = alg._clifford_rels(n)
         for g in self.inner.generator_tokens():
-            sgn = -ONE if g[0] in _ODD_TOKENS else ONE
+            sgn = -ONE if sum(map(self.inner.atom_parity, self.inner.atomize(g)[1])) & 1 else ONE
             for i in range(1, n + 1):
                 rels.append(alg._row(f"koszul[c{i},{g[0]}{g[1]}]", ("c", i), g, sgn))
         return rels + self.inner.relations()
@@ -195,26 +192,6 @@ class Morphism:
         return img
 
 
-def _expand_token(sig, token):
-    """Rewrite a composite token as (sign, sequence of generator tokens)."""
-    kind = token[0]
-    if kind == "sij":
-        word = st.lehmer_word(st.transposition(token[1], token[2], sig.n))
-        return 1, [("s", m) for m in word]
-    if kind == "oddtr":
-        sgn, perm = st.spin_group(sig.n).odd_transposition(token[1], token[2])
-        return sgn, [("t", m) for m in st.lehmer_word(perm)]
-    if kind == "perm":
-        letter = "t" if sig.spin else "s"
-        return 1, [(letter, m) for m in st.lehmer_word(token[1])]
-    if kind == "E":
-        toks = []
-        for i, e in enumerate(token[1], start=1):
-            toks += [("e" if e > 0 else "einv", i)] * abs(e)
-        return 1, toks
-    return 1, [token]
-
-
 def apply_morphism(m: Morphism, a: Element) -> Element:
     """Linear, multiplicative extension of the generator images."""
     if a.sig is not m.source:
@@ -223,15 +200,25 @@ def apply_morphism(m: Morphism, a: Element) -> Element:
 
 
 def _apply_to_terms(m: Morphism, terms) -> Element:
+    """A generator letter maps to its image; any other token is spelled in
+    the source's letters, once per call, and maps to their signed product."""
+    expanded: dict = {}
     out = Element.zero(m.target)
     for coeff, word in terms:
         img = Element.one(m.target)
         for tok in word:
-            sgn, gens = _expand_token(m.source, tok)
-            if sgn < 0:
+            hit = expanded.get(tok)
+            if hit is None:
+                if tok in m.images:
+                    hit = (1, [m.images[tok]])
+                else:
+                    sgn, atoms = m.source.atomize(tok)
+                    hit = (sgn, [m.image_of(g) for g in m.source.letters(atoms)])
+                expanded[tok] = hit
+            if hit[0] < 0:
                 img = -img
-            for g in gens:
-                img = img * m.image_of(g)
+            for g in hit[1]:
+                img = img * g
         out = out + img.scale(coeff)
     return out
 
@@ -241,6 +228,19 @@ def check_homomorphism(m: Morphism) -> Report:
     LHS - RHS must normalize to zero in the target."""
     title = f"hom[{m.name}, n={m.source.n}]"
     return check_relations(title, m.source.relations(), lambda terms: _apply_to_terms(m, terms))
+
+
+def check_affine_map(name: str, src, tgt, image, first_vanishes: bool = False) -> Report:
+    """check_homomorphism for a map out of an affine algebra that fixes every
+    c_i and s_i or t_i and sends the affine letter v_i to ``image(i)``; with
+    ``first_vanishes`` the report also records v_1 -> 0."""
+    v = src.left_var
+    images = {tok: image(tok[1]) if tok[0] == v else generator_element(tgt, tok)
+              for tok in src.generator_tokens()}
+    report = check_homomorphism(Morphism(name, src, tgt, images))
+    if first_vanishes:
+        report.add(f"{v}1->0", images[(v, 1)].is_zero, element_str(images[(v, 1)]))
+    return report
 
 
 def check_inverse_pair(f: Morphism, g: Morphism, f_back: Morphism | None = None) -> Report:
@@ -272,10 +272,6 @@ def _cw_pair(c_index: int, letter, sign_flip: bool):
     ]
 
 
-def _images(sig, table) -> dict:
-    return {tok: element_from_terms(sig, terms) for tok, terms in table.items()}
-
-
 # Phi<suffix>: even -> C_n (x) spin and its inverse Psi<suffix>, by suffix:
 # (even algebra, spin algebra, paired letters (even, spin), pass-through
 # letters).  Phi sends even_i to w c_i spin_i, Psi sends spin_i to
@@ -304,7 +300,7 @@ def _mirror_morphism(name: str, n: int) -> Morphism:
             table[(a, i)] = [(W if phi else _W_INV, (("c", i), (b, i)))]
     g, h = ("s", "t") if phi else ("t", "s")
     table.update({(g, i): _cw_pair(i, (h, i), not phi) for i in range(1, n)})
-    return Morphism(name, src, tgt, _images(tgt, table))
+    return Morphism(name, src, tgt, {t: element_from_terms(tgt, w) for t, w in table.items()})
 
 
 def _jm_terms(spin: bool, i: int) -> list:
@@ -352,7 +348,7 @@ def _trig_morphism(name: str, n: int) -> Morphism:
             table[("e", i)] = [(ONE, (("y", i),))]
             table[("einv", i)] = [(ONE, (("yinv", i),))]
             table[(r, i)] = [(ONE, (("y", i), (p, i)))] + [(u * c, w) for c, w in jm]
-    return Morphism(name, src, tgt, _images(tgt, table))
+    return Morphism(name, src, tgt, {t: element_from_terms(tgt, w) for t, w in table.items()})
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,7 @@ from .clifford_family import center_check as spin_center_check
 from .clifford_family import power_sum_y
 from .clifford_family import trig_commutator as spin_trig_commutator
 from .engine import AlgebraError, Element, element_from_terms, generator_element
-from .morphisms import Morphism, _jm_terms, check_homomorphism
-from .render import element_str
+from .morphisms import _jm_terms, check_affine_map
 from .reports import Report
 from .scalars import ONE, Scalar
 
@@ -72,26 +71,17 @@ def intertwiner_psi(i: int, sig) -> Element:
 def spin_affine_embedding_check(alpha: Scalar, n: int) -> Report:
     """b_i -> alpha*xi_i + frak-z_i, t_i -> t_i satisfies every relation of
     the degenerate spin affine Hecke algebra inside the sDaHa."""
-    src = alg.spin_affine(n)
     tgt = alg.sdaha(n)
-    images = {("t", i): generator_element(tgt, ("t", i)) for i in range(1, n)}
-    for i in range(1, n + 1):
-        images[("b", i)] = generator_element(tgt, ("xi", i)).scale(alpha) + frak_z(i, tgt)
-    m = Morphism(f"SpinAffineEmbed[alpha={alpha.render()}]", src, tgt, images)
-    return check_homomorphism(m)
+    return check_affine_map(
+        f"SpinAffineEmbed[alpha={alpha.render()}]", alg.spin_affine(n), tgt,
+        lambda i: generator_element(tgt, ("xi", i)).scale(alpha) + frak_z(i, tgt))
 
 
 def spin_evaluation_hom_check(n: int) -> Report:
     """The evaluation homomorphism b_i -> M_i onto CS_n^-."""
-    src = alg.spin_affine(n)
     tgt = alg.spin_sym(n)
-    images = {("t", i): generator_element(tgt, ("t", i)) for i in range(1, n)}
-    for i in range(1, n + 1):
-        images[("b", i)] = odd_jm(i, tgt)
-    m = Morphism("SpinEvaluation", src, tgt, images)
-    report = check_homomorphism(m)
-    report.add("b1->0", images[("b", 1)].is_zero, element_str(images[("b", 1)]))
-    return report
+    return check_affine_map("SpinEvaluation", alg.spin_affine(n), tgt,
+                            lambda i: odd_jm(i, tgt), first_vanishes=True)
 
 
 def power_sum_xi_squared(k: int, sig) -> Element:

@@ -476,6 +476,9 @@ DEEP_PRODUCTS = (
     ("trigdahca", 2, "epsv(1)^600*s1", 1201),
     ("trigsdaha", 2, "zeta(1)^600*t1", 601),
     ("sdaha", 2, "y1^1100*xi1", 1101),
+    # negative powers of y run the same Horner loop, with base y_i^-1
+    ("dahca_loc", 2, "y1^-600*x1", 1201),
+    ("sdaha_loc", 2, "y1^-600*xi1", 601),
 )
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -63,6 +64,11 @@ def test_parse_errors():
         parse_expression("x9", d2)  # index out of range
     with pytest.raises(ParseError):
         parse_expression("(x1", d2)
+    # trailing whitespace ends the input; a lexical error reports where its
+    # whitespace starts
+    assert parse_expression("x1 + y1 \t\n ", d2) == parse_expression("x1+y1", d2)
+    with pytest.raises(ParseError, match=re.escape("lexical error at position 2: '  $'")):
+        parse_expression("x1  $", d2)
 
 
 def test_render_parse_round_trip_random():
@@ -253,6 +259,13 @@ def test_cli_usage_errors_exit_two(capsys):
          "s takes two indices (at position 0)"),
         (["cocycle-table", "--n", "9"],
          "cocycle-table prints (n!)^2 rows; --n 9 exceeds the limit 6"),
+        (["act", "--op", "dunkl-xi", "--i", "1", "--n", "2", "--expr", "y1"],
+         "dunkl-xi needs --module regular-spin"),
+        (["act", "--op", "dunkl-x", "--module", "regular-spin", "--i", "1", "--n", "2",
+          "--expr", "y1"],
+         "dunkl-x needs --module basic-spin"),
+        (["act", "--op", "dunkl-x", "--i", "1", "--n", "2", "--expr", "x1"],
+         "--expr must be a polynomial in the y variables"),
         (["normalize", "--algebra", "dahca", "--n", "2", "--expr",
           "(" * 20000 + "y1*x1" + ")" * 20000],
          "brackets nest deeper than 100 levels at position 100"),
