@@ -532,12 +532,13 @@ class AlgebraSignature:
 
 def clear_caches() -> None:
     """Empty every memo table: scalar products, sums, negatives and texts,
-    the memoized permutation helpers and group texts, the SpinGroup tables,
-    and the tables of every signature and module.  Interned scalars,
-    signatures and modules stay, since equality compares them by identity."""
+    the memoized permutation and Clifford word helpers and group texts, the
+    SpinGroup tables, and the tables of every signature and module.
+    Interned scalars, signatures and modules stay, since equality compares
+    them by identity."""
     for table in (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE):
         table.clear()
-    for fn in (st.inverse, st.perm_parity, st.transposition, st.lehmer_word,
+    for fn in (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st._word,
                st.spin_group, _plain_group_str, _spin_group_str):
         fn.cache_clear()
     for owner in list(_MEMO_OWNERS):

@@ -8,7 +8,11 @@ Conventions
   ``compose(p, q)(i) == p(q(i))``.
 * Clifford words are 0/1 bit tuples of length n, meaning the canonically
   ordered monomial ``c_1^{b_1} * ... * c_n^{b_n}``; all signs produced by
-  reordering live in returned sign values, never in the word.
+  reordering live in returned sign values, never in the word.  Inside the
+  spin group model the same word is a bit mask, bit i-1 standing for c_i:
+  the word of a product is the XOR of the masks, and its sign is a popcount.
+  The tuple functions :func:`cliff_mul` and :func:`cliff_conj` call the mask
+  routines, so the sign rule is written once.
 * The distinguished basis of the spin group algebra is ``t_p`` for a
   permutation ``p``, defined as the product of generators ``t_i`` along the
   canonical Lehmer reduced word of ``p``.  The sign cocycle ``beta`` satisfies
@@ -143,6 +147,60 @@ def word_to_perm(word, n: int) -> tuple:
 # Clifford words
 # ---------------------------------------------------------------------------
 
+def _mask(bits: tuple) -> int:
+    """The bit mask of a Clifford word: bit i-1 is set when c_i occurs."""
+    mask = 0
+    for i, bit in enumerate(bits):
+        if bit:
+            mask |= 1 << i
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _word(mask: int, n: int) -> tuple:
+    """The bit tuple of length n of a Clifford bit mask."""
+    return tuple([mask >> i & 1 for i in range(n)])
+
+
+def _mask_sign(a: int, b: int) -> int:
+    """The sign of c^a * c^b = sign * c^(a ^ b) for bit masks: each c_j of
+    ``b`` moves left past the letters of ``a`` above j.
+
+    >>> _mask_sign(0b01, 0b01)
+    1
+    >>> _mask_sign(0b10, 0b01)
+    -1
+    >>> _mask_sign(0b011, 0b110)  # (c1 c2)(c2 c3) = c1 c3
+    1
+    """
+    flips = 0
+    while b:
+        low = b & -b
+        flips += (a >> low.bit_length()).bit_count()
+        b ^= low
+    return -1 if flips & 1 else 1
+
+
+def _mask_conj(p: tuple, mask: int) -> tuple:
+    """p c^mask p^{-1} = sign * c^image for a bit mask: c_i goes to c_{p(i)},
+    and sorting the images into canonical order costs the sign.  The sign is
+    that of the inverse conjugation of the image.
+
+    >>> _mask_conj((1, 2, 3), 0b101)
+    (1, 5)
+    >>> _mask_conj((2, 1), 0b01)
+    (1, 2)
+    >>> _mask_conj((2, 1), 0b11)
+    (-1, 3)
+    """
+    image, flips = 0, 0
+    for i, v in enumerate(p):
+        if mask >> i & 1:
+            flips += (image >> v).bit_count()  # earlier images above v
+            image |= 1 << (v - 1)
+    return (-1 if flips & 1 else 1), image
+
+
 def cliff_mul(a: tuple, b: tuple) -> tuple:
     """Product of canonical Clifford words: returns (sign, word) with
     c^a * c^b = sign * c^word, using c_i^2 = 1 and c_i c_j = -c_j c_i.
@@ -150,16 +208,8 @@ def cliff_mul(a: tuple, b: tuple) -> tuple:
     >>> cliff_mul((0, 1), (1, 0))
     (-1, (1, 1))
     """
-    out = list(a)
-    sign = 1
-    for j, bit in enumerate(b):
-        if not bit:
-            continue
-        crossings = sum(out[j + 1:])
-        if crossings & 1:
-            sign = -sign
-        out[j] ^= 1
-    return sign, tuple(out)
+    ma, mb = _mask(a), _mask(b)
+    return _mask_sign(ma, mb), _word(ma ^ mb, len(a))
 
 
 def cliff_conj(p: tuple, bits: tuple) -> tuple:
@@ -167,17 +217,12 @@ def cliff_conj(p: tuple, bits: tuple) -> tuple:
 
     Returns (sign, word): the images are re-sorted into canonical order and
     the sorting sign is returned.
+
+    >>> cliff_conj((2, 1), (1, 1))
+    (-1, (1, 1))
     """
-    images = [p[i] for i, bit in enumerate(bits) if bit]
-    sign = 1
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if images[a] > images[b]:
-                sign = -sign
-    out = [0] * len(bits)
-    for v in images:
-        out[v - 1] = 1
-    return sign, tuple(out)
+    sign, image = _mask_conj(p, _mask(bits))
+    return sign, _word(image, len(bits))
 
 
 def koszul_sign(p: int, q: int) -> int:
@@ -192,24 +237,6 @@ def koszul_sign(p: int, q: int) -> int:
 _W_INV = QOmega(0, 1).inverse()  # 1/w = -w/2, since w*(-w/2) = 1
 
 
-def _cd_mul(A: dict, B: dict) -> dict:
-    out = {}
-    for wa, ca in A.items():
-        for wb, cb in B.items():
-            sgn, word = cliff_mul(wa, wb)
-            coeff = ca * cb
-            add_term(out, word, coeff if sgn > 0 else -coeff)
-    return out
-
-
-def _cd_conj(p: tuple, A: dict) -> dict:
-    out = {}
-    for word, coeff in A.items():
-        sgn, image = cliff_conj(p, word)
-        out[image] = coeff if sgn > 0 else -coeff
-    return out
-
-
 class SpinGroup:
     """Sign bookkeeping for the distinguished basis {t_p} of CS_n^-.
 
@@ -217,19 +244,29 @@ class SpinGroup:
     t_i |-> (1/w)(c_{i+1} - c_i) s_i inside C_n x| CS_n, which represents
     t_p as K_p * p with K_p a Clifford-algebra element.  The model keeps
     K'_p = w^l(p) K_p, the product of the factors (c_{i+1} - c_i) along the
-    Lehmer word, so every coefficient is an integer.  Since w^2 = -2,
+    Lehmer word, so every coefficient is an integer; ``_K`` maps p to K'_p
+    as a table from Clifford bit masks to integers.  Since w^2 = -2,
     K'_p (p K'_q p^{-1}) = beta(p, q) (-2)^m K'_{pq} with
     2m = l(p) + l(q) - l(pq), and :meth:`beta` reads the sign off one
-    coefficient of that identity.  An independent word-rewriting oracle
-    (:meth:`beta_by_words`) reduces concatenated canonical words using only
-    the defining braid/commutation relations.
+    coefficient of that identity without building p K'_q p^{-1}: for each
+    word a of K'_p it looks up K'_q at the p^{-1}-preimage of a ^ word.  The
+    preimages and their signs are kept per (p, mask) in ``_conj_table``.
+    Tuple words appear only at the API (:meth:`kappa_table`).
+
+    An independent word-rewriting oracle (:meth:`beta_by_words`) reduces
+    concatenated canonical words using only the defining braid/commutation
+    relations.  It is a product of steps t_p t_i = sign t_{p s_i}, each
+    rewritten once and kept per (p, i) in ``_word_steps``; it never reads
+    the model or :meth:`beta`.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._K = {identity(n): {tuple([0] * n): 1}}
+        self._K = {identity(n): {0: 1}}
         self._beta_cache = {}
+        self._conj_table = {}
         self._moves_cache = {}
+        self._word_steps = {}
 
     # -- Clifford model -----------------------------------------------------
 
@@ -240,14 +277,13 @@ class SpinGroup:
         word = lehmer_word(p)
         i = word[-1]
         prefix = compose(p, transposition(i, i + 1, self.n))
-        Kpre = self._kappa(prefix)
         # t_prefix * t_i adds the factor (1/w)(c_{prefix(i+1)} - c_{prefix(i)});
         # K' keeps it without the 1/w
-        a, b = apply_perm(prefix, i + 1), apply_perm(prefix, i)
-        wa = tuple(1 if m == a else 0 for m in range(1, self.n + 1))
-        wb = tuple(1 if m == b else 0 for m in range(1, self.n + 1))
-        factor = {wa: 1, wb: -1}
-        K = _cd_mul(Kpre, factor)
+        factor = ((1 << (apply_perm(prefix, i + 1) - 1), 1), (1 << (apply_perm(prefix, i) - 1), -1))
+        K = {}
+        for wa, ca in self._kappa(prefix).items():
+            for wb, cb in factor:
+                add_term(K, wa ^ wb, _mask_sign(wa, wb) * ca * cb)
         self._K[p] = K
         return K
 
@@ -259,15 +295,22 @@ class SpinGroup:
             return cached
         pq = compose(p, q)
         word, target = next(iter(self._kappa(pq).items()))
-        # the coefficient of `word` in K'_p * (p K'_q p^{-1}), and nothing else
-        conj_q = _cd_conj(p, self._kappa(q))
+        # the coefficient of `word` in K'_p * (p K'_q p^{-1}), and nothing
+        # else: p K'_q p^{-1} has at wb the coefficient of K'_q at the
+        # p^{-1}-preimage of wb, times the sign of that conjugation
+        Kq = self._kappa(q)
+        preimages = self._conj_table.get(p)
+        if preimages is None:
+            preimages = self._conj_table[p] = {}
         coeff = 0
         for wa, ca in self._kappa(p).items():
-            wb = tuple(x ^ y for x, y in zip(wa, word))
-            cb = conj_q.get(wb)
+            wb = wa ^ word
+            pre = preimages.get(wb)
+            if pre is None:
+                pre = preimages[wb] = _mask_conj(inverse(p), wb)
+            cb = Kq.get(pre[1])
             if cb:
-                sgn, _ = cliff_mul(wa, wb)
-                coeff += sgn * ca * cb
+                coeff += pre[0] * _mask_sign(wa, wb) * ca * cb
         m2 = len(lehmer_word(p)) + len(lehmer_word(q)) - len(lehmer_word(pq))
         expected = (-2) ** (m2 // 2) * target
         if coeff == expected:
@@ -283,11 +326,11 @@ class SpinGroup:
 
     def kappa_table(self, p: tuple) -> dict:
         """The Clifford coefficient K_p = (1/w)^l(p) K'_p of the model, over
-        Q(w) (for cross-checks)."""
+        Q(w) and keyed by bit tuples (for cross-checks)."""
         scale = QOmega(1)
         for _ in lehmer_word(p):
             scale = scale * _W_INV
-        return {word: scale * QOmega(c) for word, c in self._kappa(p).items()}
+        return {_word(mask, self.n): scale * QOmega(c) for mask, c in self._kappa(p).items()}
 
     # -- word-rewriting oracle ----------------------------------------------
 
@@ -326,20 +369,28 @@ class SpinGroup:
         self._moves_cache[key] = sign
         return sign
 
-    def _mult_gen_by_words(self, sign: int, p: tuple, i: int) -> tuple:
-        s_i = transposition(i, i + 1, self.n)
-        target = compose(p, s_i)
+    def _mult_gen_by_words(self, p: tuple, i: int) -> tuple:
+        """t_p * t_i = sign * t_{p s_i} as (sign, p s_i), by rewriting the
+        canonical words; memoized per (p, i)."""
+        key = (p, i)
+        step = self._word_steps.get(key)
+        if step is not None:
+            return step
+        target = compose(p, transposition(i, i + 1, self.n))
         cw = lehmer_word(p)
         if length(target) > len(cw):
-            return sign * self._sign_between(cw + (i,), lehmer_word(target)), target
-        ending = lehmer_word(target) + (i,)
-        return sign * self._sign_between(cw, ending), target
+            sign = self._sign_between(cw + (i,), lehmer_word(target))
+        else:
+            sign = self._sign_between(cw, lehmer_word(target) + (i,))
+        step = self._word_steps[key] = (sign, target)
+        return step
 
     def beta_by_words(self, p: tuple, q: tuple) -> int:
         """Independent oracle for :meth:`beta` via signed word rewriting."""
         sign, acc = 1, p
         for i in lehmer_word(q):
-            sign, acc = self._mult_gen_by_words(sign, acc, i)
+            step, acc = self._mult_gen_by_words(acc, i)
+            sign *= step
         return sign
 
     # -- odd transpositions --------------------------------------------------

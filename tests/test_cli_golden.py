@@ -52,7 +52,7 @@ CORPUS = {
         ["act", "--op", "dunkl-xi", "--i", "3", "--module", "regular-spin", "--n", "3",
          "--expr", "y1^2*y3 + y2*y3^2", "--vector", "4"],
     ],
-    "cocycle-table": [["cocycle-table", "--n", n] for n in ("2", "3", "4")],
+    "cocycle-table": [["cocycle-table", "--n", n] for n in ("2", "3", "4", "5")],
     "embedding-check": [
         ["embedding-check", "--algebra", name, "--n", "2", "--alpha", alpha]
         for name in ("dahca", "sdaha")
@@ -74,7 +74,7 @@ GOLDEN = {
     "map": "4e40516e0e1a87fa70870b10a4a5e75b5350a4cb6b6eea02ea616d9e821a7d49",
     "verify-modules": "cd83ec7cc0b4c37fc00c0d30de8c96fcf36ebf525e82d169e8b5448670aa436d",
     "act": "9020a13e79a00e2a91425d723e5405ae74bf96dcb2ae6d7372a2cc764853fda4",
-    "cocycle-table": "cd61f24e1846e1c805e5cd803f17024c38d0e0c2c2bdee7ce32ab50bea79a8ce",
+    "cocycle-table": "74241743dba8e4b7e57a074dadbfb7de071f55a23b83f6f7fd8317b3a743ec74",
     "embedding-check": "2854e965376303e9f990f8e62be13e29ad8aa00761217fafc18d7313395b5809",
     "center-check": "b9255defaafd66fe8325d0efb78bf21cfd2942c492ba886250552db44b8cd49c",
     "normalize": "10d85a3f195d749faf84ee1e9661d5e277351eea95c37428dc5ef2eac756e789",

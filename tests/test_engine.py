@@ -573,15 +573,21 @@ def test_clear_caches_empties_every_table():
     warmed = (sig, alg.sdaha(3), mo.tensor_with_clifford(alg.sdaha(2)), dk.regular_spin(2))
     assert all(any(_memo_tables(o)) for o in warmed)
     owners = list(engine._MEMO_OWNERS)
-    lru = (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st.spin_group,
-           engine._plain_group_str, engine._spin_group_str)
+    lru = (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st._word,
+           st.spin_group, engine._plain_group_str, engine._spin_group_str)
     scalar_tables = (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE)
+    warm_sg = st.spin_group(3)
+    perms = list(st.all_perms(3))
+    assert all(warm_sg.beta_by_words(p, q) == warm_sg.beta(p, q) for p in perms for q in perms)
+    spin_tables = ("_beta_cache", "_conj_table", "_moves_cache", "_word_steps")
+    assert all(getattr(warm_sg, t) for t in spin_tables) and len(warm_sg._K) > 1
     assert all(fn.cache_info().currsize for fn in lru) and all(scalar_tables)
     clear_caches()
     assert not any(t for o in owners for t in _memo_tables(o))
     assert not any(fn.cache_info().currsize for fn in lru) and not any(scalar_tables)
     sg = st.spin_group(3)
-    assert not sg._beta_cache and not sg._moves_cache and len(sg._K) == 1
+    assert sg is not warm_sg
+    assert not any(getattr(sg, t) for t in spin_tables) and len(sg._K) == 1
     # interned scalars, signatures and modules survive, so equality still holds
     assert sc._INTERN and alg.dahca(3) is sig
     assert _warm_every_table() == digest

@@ -4,8 +4,9 @@ import random
 
 from spinhecke import algebras as alg
 from spinhecke.engine import element_from_terms, generator_element
-from spinhecke.scalars import ONE
+from spinhecke.scalars import ONE, add_term
 from spinhecke.structure import (
+    SpinGroup,
     all_perms,
     cliff_conj,
     cliff_mul,
@@ -96,7 +97,8 @@ def test_cocycle_identity_random_n5():
 
 
 def test_cocycle_matches_word_oracle_small():
-    for n in (2, 3):
+    # every pair up to n=5: 14,400 pairs at n=5
+    for n in (2, 3, 4, 5):
         sg = spin_group(n)
         for p in all_perms(n):
             for q in all_perms(n):
@@ -113,15 +115,54 @@ def test_cocycle_matches_word_oracle_random():
             assert sg.beta(p, q) == sg.beta_by_words(p, q), (p, q)
 
 
+def test_cocycle_and_word_oracle_are_independent(monkeypatch):
+    """Each side of the cocycle oracle pair covers every pair at n=4 with
+    the other side switched off."""
+    perms = list(all_perms(4))
+    pairs = [(p, q) for p in perms for q in perms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one side of the cocycle oracle pair reached the other")
+
+    with monkeypatch.context() as m:
+        m.setattr(SpinGroup, "beta", refuse)
+        m.setattr(SpinGroup, "_kappa", refuse)
+        sg = SpinGroup(4)
+        by_words = [sg.beta_by_words(p, q) for p, q in pairs]
+    with monkeypatch.context() as m:
+        m.setattr(SpinGroup, "_sign_between", refuse)
+        m.setattr(SpinGroup, "_mult_gen_by_words", refuse)
+        sg = SpinGroup(4)
+        model = [sg.beta(p, q) for p, q in pairs]
+    assert model == by_words
+    assert set(model) == {1, -1}
+
+
+def _clifford_product(A: dict, B: dict) -> dict:
+    out = {}
+    for wa, ca in A.items():
+        for wb, cb in B.items():
+            sgn, word = cliff_mul(wa, wb)
+            add_term(out, word, ca * cb if sgn > 0 else -(ca * cb))
+    return out
+
+
+def _clifford_conjugate(p: tuple, A: dict) -> dict:
+    out = {}
+    for word, coeff in A.items():
+        sgn, image = cliff_conj(p, word)
+        out[image] = coeff if sgn > 0 else -coeff
+    return out
+
+
 def test_clifford_model_full_equality():
     # K_p * (p K_q p^{-1}) equals beta * K_{pq} as full Clifford elements
-    from spinhecke.structure import _cd_conj, _cd_mul
-
     for n in (2, 3, 4):
         sg = spin_group(n)
         for p in all_perms(n):
             for q in all_perms(n):
-                prod = _cd_mul(sg.kappa_table(p), _cd_conj(p, sg.kappa_table(q)))
+                prod = _clifford_product(
+                    sg.kappa_table(p), _clifford_conjugate(p, sg.kappa_table(q)))
                 target = sg.kappa_table(compose(p, q))
                 beta = sg.beta(p, q)
                 scaled = {w: (c if beta > 0 else -c) for w, c in target.items()}
