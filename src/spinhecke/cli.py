@@ -122,6 +122,7 @@ def _cmd_verify_modules(args) -> int:
     module = "regular-spin" if family == "sdaha" else "basic-spin"
     if args.module not in (None, module):
         raise AlgebraError(f"{family} needs --module {module}")
+    algebras.by_name(family, args.n)  # refuses n < 2 before the 2^n-vector module is built
     W = dk.regular_spin(args.n) if family == "sdaha" else dk.basic_spin(args.n)
     report = dk.verify_module(family, W, args.degree_bound)
     report.extend(dk.oracle_equivalence(family, W, args.degree_bound))

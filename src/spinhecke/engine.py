@@ -40,18 +40,15 @@ c_m c_{m+1}.  Each rule swaps the pair and adds lower-degree correction
 terms, so the procedure terminates; the confluence suite checks
 independence of the result from association order.
 
-A right-letter power meeting the left slot is inserted in Horner order,
-r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step; a
-negative power of y runs the same loop with r = y_i^-1.  Each rule crosses
-a whole power in one closed sum: r_i l_j^l = l_j^l r_i + sum_{t<l} l_j^t
-[r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i, e^lam], by the
-geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k on the left
-slot, v_i^k s_m on the right, by the sums of :func:`_affine_words`.  So the
-rewriting depth does not grow with the power of the right letter.  It still
-grows with the left degree against y_i^-1, which crosses one l_j at a time,
-y_i^-1 l_j = l_j y_i^-1 - y_i^-1 [y_i, l_j] y_i^-1, and meets y_i^-1 again:
-``y1^-1*x1^600`` exceeds Python's default recursion limit, and nothing
-bounds the work of ``y1^-1*x1^300``.
+A positive right-letter power meeting the left slot is inserted in Horner
+order, r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step.
+Each rule crosses a whole power in one closed sum: r_i l_j^l = l_j^l r_i +
+sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i,
+e^lam], by the geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k
+on the left slot, v_i^k s_m on the right, by the sums of
+:func:`_affine_words`.  So the rewriting depth does not grow with the power
+of the right letter.  A negative power of y has no rule of its own: y_i^-k M
+is a division through the positive rule, :meth:`AlgebraSignature._divide`.
 """
 
 from __future__ import annotations
@@ -223,19 +220,18 @@ class AlgebraSignature:
             if not self.spin:
                 raise AlgebraError(f"{self.name} uses even generators s{i}, not t{i}")
             return 1, (("G", st.transposition(i, i + 1, n)),)
-        if kind == "sij":
+        if kind in ("sij", "oddtr"):
             i, j = token[1], token[2]
-            self._check_index(i, "s(i,j)")
-            self._check_index(j, "s(i,j)")
-            if self.spin:
-                raise AlgebraError(f"{self.name} has no even transpositions")
-            return 1, (("G", st.transposition(i, j, n)),)
-        if kind == "oddtr":
-            i, j = token[1], token[2]
-            self._check_index(i, "tr(i,j)")
-            self._check_index(j, "tr(i,j)")
-            if not self.spin:
-                raise AlgebraError(f"{self.name} has no odd transpositions")
+            gen = "s(i,j)" if kind == "sij" else "tr(i,j)"
+            self._check_index(i, gen)
+            self._check_index(j, gen)
+            if self.spin != (kind == "oddtr"):
+                parity = "even" if self.spin else "odd"
+                raise AlgebraError(f"{self.name} has no {parity} transpositions")
+            if i == j:
+                raise AlgebraError(f"{gen!r} needs two different indices, got ({i},{j})")
+            if kind == "sij":
+                return 1, (("G", st.transposition(i, j, n)),)
             sgn, perm = st.spin_group(n).odd_transposition(i, j)
             return sgn, (("G", perm),)
         if kind == "perm":
@@ -422,6 +418,8 @@ class AlgebraSignature:
         out = cache.get((atom, mono))
         if out is not None:
             return out
+        if atom[0] == "R" and atom[2] < 0:
+            return cache.setdefault((atom, mono), self._divide(atom, mono))
         left, grp, cliff, right = mono
         if not any(left):  # epsv_i or zeta_i against sigma
             first, rest = ("G", grp), (left, self._id, cliff, right)
@@ -431,8 +429,8 @@ class AlgebraSignature:
             j = next(j for j, e in enumerate(left) if e)
             first = ("L", j + 1, left[j])
             rest = (left[:j] + (0,) + left[j + 1:], grp, cliff, right)
-        horner = atom[0] == "R" and abs(atom[2]) > 1 and first[0] != "G"
-        base = ("R", atom[1], 1 if atom[2] > 0 else -1) if horner else atom
+        horner = atom[0] == "R" and atom[2] > 1 and first[0] != "G"
+        base = ("R", atom[1], 1) if horner else atom
         out = cache.get((base, mono))
         if out is None:
             rules = self._rule_cache.get((base, first))
@@ -445,14 +443,29 @@ class AlgebraSignature:
                     add_term(out, m2, coeff * c2)
             cache[base, mono] = out
         if horner:
-            # Horner order, r^b M = r (r^{b-1} M) for b = 2..|k| with r = y_i^-1
-            # when k < 0, each step memoized
-            for b in range(2, abs(atom[2]) + 1):
-                key = (("R", atom[1], base[2] * b), mono)
+            # Horner order, r^b M = r (r^{b-1} M) for b = 2..k, each step memoized
+            for b in range(2, atom[2] + 1):
+                key = (("R", atom[1], b), mono)
                 step = cache.get(key)
                 if step is None:
                     step = cache[key] = self._insert_word((base,), out)
                 out = step
+        return out
+
+    def _divide(self, atom: tuple, mono: tuple) -> dict:
+        """y_i^-k M as the one N with y_i^k N = M: guess y_i^-k past a zero left
+        slot in each residual term, add the guess to N and subtract y_i^k times
+        it; the leading terms cancel, so the residual's left degree falls."""
+        up, out, rest = ("R", atom[1], -atom[2]), {}, {mono: ONE}
+        while rest:
+            guess: dict = {}
+            for (left, grp, cliff, right), c in rest.items():
+                sign, (_, *moved) = self._slot_insert(atom, (self._zeros, grp, cliff, right))
+                add_term(guess, (left, *moved), -c if sign < 0 else c)
+            for m, c in guess.items():
+                add_term(out, m, c)
+            for m, c in self._insert_word((up,), guess).items():
+                add_term(rest, m, -c)
         return out
 
     def _slot_insert(self, atom: tuple, mono: tuple):
@@ -691,26 +704,21 @@ def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
         q = () if p == sm else (("G", st.compose(p, sm) if left else st.compose(sm, p)),)
         words = _affine_words(sig, left, m, i, k)
         return [(c, q + w) if left else (c, w + q) for c, w in words]
-    i, k = A[1], A[2]
-    # Against L and E only k = +-1 arrive here: _cross inserts a higher
-    # power in Horner order, one letter r_i or y_i^-1 at a time.
+    i = A[1]
+    # Against L and E only k = 1 arrives here: _cross inserts a higher power
+    # in Horner order, and divides by a negative one.
     if B[0] == "E":
         # r_i e^lam = e^lam r_i + [r_i, e^lam], the closed form for the whole weight
         return [(ONE, (B, A))] + trig_comm_word_terms(sig, i, B[1])
     # B is an L atom: the rational double affine cross relation
+    # r_i l_j^l = l_j^l r_i + sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t)
     j, l = B[1], B[2]
     bracket = _bracket_words(sig, i, j)
-    if k > 0:
-        # r_i l_j^l = l_j^l r_i + sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t)
-        out = [(ONE, (B, A))]
-        for t in range(l):
-            head, tail = _wd(("L", j, t)), _wd(("L", j, l - 1 - t))
-            out += [(c, head + w + tail) for c, w in bracket]
-        return out
-    # y_i^-1 l_j^l = l_j y_i^-1 l_j^(l-1) - y_i^-1 [y_i, l_j] y_i^-1 l_j^(l-1), one
-    # l_j at a time: a closed sum over t would cross the inner y_i^-1 l times
-    tail = (A,) + _wd(("L", j, l - 1))
-    return [(ONE, (("L", j, 1),) + tail)] + [(-c, (A,) + w + tail) for c, w in bracket]
+    out = [(ONE, (B, A))]
+    for t in range(l):
+        head, tail = _wd(("L", j, t)), _wd(("L", j, l - 1 - t))
+        out += [(c, head + w + tail) for c, w in bracket]
+    return out
 
 
 # ---------------------------------------------------------------------------

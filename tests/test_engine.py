@@ -437,6 +437,10 @@ def test_laurent_products_associate(family):
             assert ab * c == a * (b * c), (family, n, element_str(a), element_str(b), element_str(c))
             h.update(json.dumps(element_json(ab), sort_keys=True).encode())
         assert h.hexdigest() == LAURENT_PRODUCT_DIGESTS[family, n], (family, n)
+        # y_i^-k crosses the left slot by division: its results are memoized
+        # under (atom, monomial), but only positive powers have rule words
+        assert any(atom[0] == "R" and atom[2] < 0 for atom, _ in sig._norm_cache)
+        assert not [key for key in sig._rule_cache if key[0][0] == "R" and key[0][2] < 0]
 
 
 @pytest.mark.parametrize(
@@ -476,9 +480,12 @@ DEEP_PRODUCTS = (
     ("trigdahca", 2, "epsv(1)^600*s1", 1201),
     ("trigsdaha", 2, "zeta(1)^600*t1", 601),
     ("sdaha", 2, "y1^1100*xi1", 1101),
-    # negative powers of y run the same Horner loop, with base y_i^-1
+    # a negative power of y divides: y_i^-k M is the N with y_i^k N = M, one
+    # round per left degree, each through the positive rule
     ("dahca_loc", 2, "y1^-600*x1", 1201),
     ("sdaha_loc", 2, "y1^-600*xi1", 601),
+    ("dahca_loc", 2, "y1^-1*x1^200", 401),
+    ("sdaha_loc", 2, "y1^-1*xi1^200", 201),
 )
 
 
@@ -490,7 +497,11 @@ def test_affine_crossing_needs_no_deep_recursion():
     try:
         for family, n, expr, terms in DEEP_PRODUCTS:
             sig = alg._make.__wrapped__(family, n, None)
-            assert len(parse_expression(expr, sig).terms) == terms, expr
+            result = parse_expression(expr, sig)
+            assert len(result.terms) == terms, expr
+            head, _, dividend = expr.partition("*")
+            if head == "y1^-1":  # y1 times the quotient gives back the dividend
+                assert parse_expression("y1", sig) * result == parse_expression(dividend, sig)
     finally:
         sys.setrecursionlimit(limit)
 

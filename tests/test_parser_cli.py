@@ -259,6 +259,14 @@ def test_cli_usage_errors_exit_two(capsys):
          "s takes two indices (at position 0)"),
         (["cocycle-table", "--n", "9"],
          "cocycle-table prints (n!)^2 rows; --n 9 exceeds the limit 6"),
+        (["verify-modules", "--algebra", "dahca", "--n", "-1"], "rank n must be at least 2"),
+        (["verify-modules", "--algebra", "sdaha", "--n", "1"], "rank n must be at least 2"),
+        (["normalize", "--algebra", "sym", "--n", "2", "--expr", "s(2,2)"],
+         "at position 0: 's(i,j)' needs two different indices, got (2,2)"),
+        (["normalize", "--algebra", "dahca", "--n", "3", "--expr", "x1*s33"],
+         "at position 3: 's(i,j)' needs two different indices, got (3,3)"),
+        (["normalize", "--algebra", "spinsym", "--n", "2", "--expr", "tr(1,1)"],
+         "at position 0: 'tr(i,j)' needs two different indices, got (1,1)"),
         (["act", "--op", "dunkl-xi", "--i", "1", "--n", "2", "--expr", "y1"],
          "dunkl-xi needs --module regular-spin"),
         (["act", "--op", "dunkl-x", "--module", "regular-spin", "--i", "1", "--n", "2",

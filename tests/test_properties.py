@@ -1,4 +1,5 @@
-"""Property tests: parser round trip and field axioms up to identity."""
+"""Property tests: parser round trip, field axioms up to identity, and
+division by y_i in the localized algebras."""
 
 import random
 
@@ -8,7 +9,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from spinhecke import algebras as alg  # noqa: E402
-from spinhecke.engine import monomial_element, random_monomial  # noqa: E402
+from spinhecke.engine import generator_element, monomial_element, random_monomial  # noqa: E402
 from spinhecke.exprparse import parse_expression  # noqa: E402
 from spinhecke.render import element_str  # noqa: E402
 from spinhecke.scalars import ONE, QOmega, Scalar  # noqa: E402
@@ -47,3 +48,22 @@ def test_field_axioms_hold_as_identity(a, b, c):
     assert a * (b + c) is a * b + a * c
     if a:
         assert a * (ONE / a) is ONE
+
+
+@_SETTINGS
+@given(
+    factory=st.sampled_from((alg.dahca_localized, alg.sdaha_localized)),
+    n=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_y_divides_laurent_monomials(factory, n, seed):
+    # y_i^-1 (y_i M) = M and y_i (y_i^-1 M) = M, M of left degree <= 3 with
+    # right exponents in -2..2
+    sig = factory(n)
+    rng = random.Random(seed)
+    left, grp, cliff, _ = random_monomial(sig, rng, 3)
+    m = monomial_element(sig, (left, grp, cliff, tuple(rng.randint(-2, 2) for _ in range(n))))
+    i = rng.randint(1, n)
+    y, yinv = (generator_element(sig, (name, i)) for name in ("y", "yinv"))
+    assert yinv * (y * m) == m
+    assert y * (yinv * m) == m
