@@ -11,9 +11,10 @@ A monomial is a 4-slot tuple ``(left, grp, cliff, right)``:
 
 Multiplication inserts the atoms of the left factor, from the right, into
 the terms of the right factor; a normal form inserts a word into 1.  Both
-run one kernel, :meth:`AlgebraSignature._insert_word`.  Most insertions are
-slot arithmetic with a sign, done by ``AlgebraSignature._slot_insert`` and
-never memoized per monomial: a left letter or Laurent weight adds into the
+run one kernel, :meth:`AlgebraSignature._insert_word`, which adds its result
+into a given dict.  Most insertions are slot arithmetic with a sign, done by
+the mover of the atom kind in the class table ``AlgebraSignature._MOVERS``
+and never memoized per monomial: a left letter or Laurent weight adds into the
 left vector; a group element permutes that vector (x, y, xi, e) and composes
 into the group slot, with the cocycle beta in the spin algebras; a Clifford
 word crosses the left and group slots and multiplies into the Clifford slot;
@@ -27,7 +28,8 @@ bits').
 
 Only the cross rules rewrite, and only their results are memoized, under
 the key (atom, monomial); their rule words are built once per (atom,
-leading atom of the monomial) and kept in a third per-signature table.
+leading atom of the monomial), kept in a third per-signature table, and
+each inserted into the one result dict of the rule.
 The cross rules are the Dunkl-type [y_i, x_j] (a right letter against a
 nonzero left slot), the trigonometric [epsv_i, e^eta] and [zeta_i, e^eta],
 and the affine Hecke-Clifford s_m a_m of Nazarov with its spin and
@@ -61,7 +63,7 @@ from random import Random
 from . import scalars as sc
 from . import structure as st
 from .reports import Report
-from .scalars import ONE, Scalar, QOmega, add_term
+from .scalars import ONE, ZERO, Scalar, QOmega, add_term
 
 __all__ = [
     "AlgebraSignature",
@@ -127,6 +129,9 @@ class AlgebraSignature:
         self._relations = None
         self._id = st.identity(n)
         self._zeros = tuple([0] * n)
+        self._left_odd, self._right_odd = left_var in _ODD_VARS, right_var in _ODD_VARS
+        # x, a and epsv anticommute with the c_i of their own index
+        self._left_anti, self._right_anti = left_var in ("x", "a"), right_var in ("x", "epsv")
         self._norm_cache: dict = {}  # (atom, mono) -> cross-rule result
         self._mul_cache: dict = {}  # (mono, mono) -> product
         self._rule_cache: dict = {}  # (atom, leading atom) -> rule words
@@ -157,9 +162,9 @@ class AlgebraSignature:
             p ^= sum(cliff) & 1
         if self.spin:
             p ^= st.perm_parity(grp)
-        if self.left_var in _ODD_VARS:
+        if self._left_odd:
             p ^= sum(left) & 1
-        if self.right_var in _ODD_VARS:
+        if self._right_odd:
             p ^= sum(right) & 1
         return p
 
@@ -330,7 +335,7 @@ class AlgebraSignature:
     def sort_key(self, m: tuple):
         """Terms print by falling polynomial degree, then by monomial."""
         left, _, _, right = m
-        return (-(sum(abs(e) for e in left) + sum(abs(e) for e in right)), m)
+        return (-(sum(map(abs, left)) + sum(map(abs, right))), m)
 
     # -- relations ------------------------------------------------------------
 
@@ -370,50 +375,75 @@ class AlgebraSignature:
         """Straighten an atom word; returns {monomial: Scalar}."""
         return self._insert_word(word, {self.one_mono: ONE})
 
-    def _insert_word(self, word: tuple, terms: dict) -> dict:
-        """word * terms in normal form, as a new dict; ``terms`` is only read.
+    def _insert_word(self, word: tuple, terms: dict, out: dict | None = None) -> dict:
+        """Add word * terms in normal form into ``out`` (a new dict if None)
+        and return it; ``terms`` is only read.
 
         ``stage[j]`` collects the terms that have received ``word[j:]``, and
-        ``stage[0]`` is the result.  Each term walks the atoms right to left
-        through slot moves as one (sign, monomial) pair and joins the stage
-        where a cross rule is due, so it meets, and may cancel against, every
-        other term that needs that rule before :meth:`_cross` is applied once
-        per monomial.  Slot moves are injective on monomials, so a walk past
-        a stage loses no cancellation."""
+        ``stage[0]`` is ``out``.  Each term walks the atoms right to left as
+        one (sign, monomial) pair, each slot move done by the mover of its
+        atom kind in ``_MOVERS``, and joins the stage where a cross rule is
+        due, so it meets, and may cancel against, every other term that needs
+        that rule before :meth:`_cross` is applied once per monomial.  Slot
+        moves are injective on monomials, so a walk past a stage loses no
+        cancellation.  Terms join a stage in place, by the rule of
+        :func:`add_term`: a key whose sum is ``ZERO`` is dropped."""
+        out = {} if out is None else out
         if not word:
-            return dict(terms)
+            for mono, c in terms.items():
+                add_term(out, mono, c)
+            return out
         stage = [None] * len(word) + [terms]  # each dict is made on first use
-        stage[0] = out = {}
-        slot, cross = self._slot_insert, self._cross
+        stage[0] = out
+        movers, cross = self._MOVERS, self._cross
         for j in range(len(word), 0, -1):
             cur = stage[j]
             if cur is None:
                 continue
             for mono, c in cur.items():
-                neg, i = False, j
+                sign, i = 1, j
                 while i:
-                    hit = slot(word[i - 1], mono)
+                    atom = word[i - 1]
+                    hit = movers[atom[0]](self, atom, mono)
                     if hit is None:
                         break
-                    neg ^= hit[0] < 0
-                    mono = hit[1]
+                    s, mono = hit
+                    sign *= s
                     i -= 1
                 if i < j:
                     dst = stage[i]
                     if dst is None:
                         dst = stage[i] = {}
-                    add_term(dst, mono, -c if neg else c)
+                    if sign < 0:
+                        c = -c
+                    prev = dst.get(mono)
+                    if prev is None:
+                        dst[mono] = c
+                    elif (c := prev + c) is ZERO:
+                        del dst[mono]
+                    else:
+                        dst[mono] = c
                     continue
                 # the stage's own atom is a cross rule
                 dst = stage[j - 1]
                 if dst is None:
                     dst = stage[j - 1] = {}
                 for m2, c2 in cross(word[j - 1], mono).items():
-                    add_term(dst, m2, c * c2)
+                    if c is not ONE:
+                        c2 = c * c2
+                    prev = dst.get(m2)
+                    if prev is None:
+                        dst[m2] = c2
+                    elif (c2 := prev + c2) is ZERO:
+                        del dst[m2]
+                    else:
+                        dst[m2] = c2
         return out
 
     def _cross(self, atom: tuple, mono: tuple) -> dict:
-        """atom * mono by a cross rule, memoized under the key (atom, mono)."""
+        """atom * mono by a cross rule, memoized under the key (atom, mono);
+        each rule word is inserted straight into the one result dict, as the
+        ``out`` of :meth:`_insert_word`."""
         cache = self._norm_cache
         out = cache.get((atom, mono))
         if out is not None:
@@ -439,8 +469,7 @@ class AlgebraSignature:
                 self._rule_cache[base, first] = rules
             out = {}
             for coeff, repl in rules:
-                for m2, c2 in self._insert_word(repl, {rest: ONE}).items():
-                    add_term(out, m2, coeff * c2)
+                self._insert_word(repl, {rest: coeff}, out)
             cache[base, mono] = out
         if horner:
             # Horner order, r^b M = r (r^{b-1} M) for b = 2..k, each step memoized
@@ -469,75 +498,86 @@ class AlgebraSignature:
         return out
 
     def _slot_insert(self, atom: tuple, mono: tuple):
-        """atom * mono as (sign, monomial) when it is index arithmetic on the
-        slots; None for the cross rules: r_i against a nonzero left slot, s_m
-        against a nonzero a or b slot, and epsv_i or zeta_i against a group
-        slot that is not the identity."""
+        """atom * mono as (sign, monomial) by the mover of its kind in
+        ``_MOVERS`` when it is index arithmetic on the slots; None for the
+        cross rules: r_i against a nonzero left slot, s_m against a nonzero a
+        or b slot, and epsv_i or zeta_i against a nonidentity group slot."""
+        return self._MOVERS[atom[0]](self, atom, mono)
+
+    def _move_left(self, atom: tuple, mono: tuple):
         left, grp, cliff, right = mono
-        kind = atom[0]
-        if kind == "L":
-            i, k = atom[1], atom[2]
-            new = list(left)
-            new[i - 1] += k
-            odd = self.left_var in _ODD_VARS and k & 1 and sum(left[: i - 1]) & 1
-            return (-1 if odd else 1), (tuple(new), grp, cliff, right)
-        if kind == "E":
-            return 1, (tuple(map(operator.add, atom[1], left)), grp, cliff, right)
-        if kind == "C":
-            bits = atom[1]
-            move = self._cliff_moves.get((grp, bits, cliff))
-            if move is None:
-                sign, moved = (1, bits) if grp == self._id else st.cliff_conj(st.inverse(grp), bits)
-                s, moved = st.cliff_mul(moved, cliff)
-                move = self._cliff_moves[grp, bits, cliff] = (sign * s, moved)
-            sign = move[0]
-            if self.left_var in ("x", "a") and sum(e for e, b in zip(left, bits) if b) & 1:
-                sign = -sign
-            return sign, (left, grp, move[1], right)
+        i, k = atom[1], atom[2]
+        new = list(left)
+        new[i - 1] += k
+        odd = self._left_odd and k & 1 and sum(left[: i - 1]) & 1
+        return (-1 if odd else 1), (tuple(new), grp, cliff, right)
+
+    def _move_weight(self, atom: tuple, mono: tuple):
+        left, grp, cliff, right = mono
+        return 1, (tuple(map(operator.add, atom[1], left)), grp, cliff, right)
+
+    def _move_cliff(self, atom: tuple, mono: tuple):
+        left, grp, cliff, right = mono
+        bits = atom[1]
+        move = self._cliff_moves.get((grp, bits, cliff))
+        if move is None:
+            sign, moved = (1, bits) if grp == self._id else st.cliff_conj(st.inverse(grp), bits)
+            s, moved = st.cliff_mul(moved, cliff)
+            move = self._cliff_moves[grp, bits, cliff] = (sign * s, moved)
+        sign = move[0]
+        if self._left_anti and sum(e for e, b in zip(left, bits) if b) & 1:
+            sign = -sign
+        return sign, (left, grp, move[1], right)
+
+    def _move_group(self, atom: tuple, mono: tuple):
+        left, grp, cliff, right = mono
+        p = atom[1]
         sign = 1
-        bare = not any(left)
-        if kind == "G":
-            p = atom[1]
-            if not bare:
-                if self.left_var in ("a", "b"):
-                    return None
-                new = [0] * self.n
-                for i, e in enumerate(left):
-                    new[p[i] - 1] = e
-                if self.left_var == "xi":
-                    # each odd xi_i^k passes t_p with parity(p), and the odd
-                    # exponents are reordered by p
-                    odd = [p[i] for i, e in enumerate(left) if e & 1]
-                    flips = st.perm_parity(p) * len(odd)
-                    flips += sum(1 for a, v in enumerate(odd) for w in odd[a + 1:] if v > w)
-                    sign = -1 if flips & 1 else 1
-                left = tuple(new)
-            if grp == self._id:
-                return sign, (left, p, cliff, right)
-            move = self._group_moves.get((p, grp))
-            if move is None:
-                beta = st.spin_group(self.n).beta(p, grp) if self.spin else 1
-                move = self._group_moves[p, grp] = (beta, st.compose(p, grp))
-            return sign * move[0], (left, move[1], cliff, right)
-        # kind == "R"
-        if not bare:
+        if any(left):
+            if self.left_var in ("a", "b"):
+                return None
+            new = [0] * self.n
+            for i, e in enumerate(left):
+                new[p[i] - 1] = e
+            if self.left_var == "xi":
+                # each odd xi_i^k passes t_p with parity(p), and the odd
+                # exponents are reordered by p
+                odd = [p[i] for i, e in enumerate(left) if e & 1]
+                flips = st.perm_parity(p) * len(odd)
+                flips += sum(1 for a, v in enumerate(odd) for w in odd[a + 1:] if v > w)
+                sign = -1 if flips & 1 else 1
+            left = tuple(new)
+        if grp == self._id:
+            return sign, (left, p, cliff, right)
+        move = self._group_moves.get((p, grp))
+        if move is None:
+            beta = st.spin_group(self.n).beta(p, grp) if self.spin else 1
+            move = self._group_moves[p, grp] = (beta, st.compose(p, grp))
+        return sign * move[0], (left, move[1], cliff, right)
+
+    def _move_right(self, atom: tuple, mono: tuple):
+        left, grp, cliff, right = mono
+        if any(left):
             return None
         i, k = atom[1], atom[2]
-        var = self.right_var
+        sign = 1
         if grp != self._id:
-            if var in ("epsv", "zeta"):
+            if self.right_var in ("epsv", "zeta"):
                 return None
             i = grp.index(i) + 1  # sigma^{-1}(i)
-            if var == "xi" and k & 1 and st.perm_parity(grp):
+            if self.right_var == "xi" and k & 1 and st.perm_parity(grp):
                 sign = -1
         if k & 1 and (
-            (var in ("x", "epsv") and cliff[i - 1])
-            or (var in _ODD_VARS and sum(right[: i - 1]) & 1)
+            (self._right_anti and cliff[i - 1])
+            or (self._right_odd and sum(right[: i - 1]) & 1)
         ):
             sign = -sign
         new = list(right)
         new[i - 1] += k
         return sign, (left, grp, cliff, tuple(new))
+
+    _MOVERS = {"L": _move_left, "E": _move_weight, "C": _move_cliff, "G": _move_group,
+               "R": _move_right}
 
     def __repr__(self) -> str:
         return f"<{self.name} n={self.n}>"
@@ -732,7 +772,7 @@ class Element:
 
     def __init__(self, sig, terms: dict | None = None):
         self.sig = sig
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = {m: c for m, c in (terms or {}).items() if c is not ZERO}
 
     # -- constructors ---------------------------------------------------------
 
@@ -922,30 +962,18 @@ def verify_relations(sig) -> Report:
 
 def random_monomial(sig, rng: Random, degree_bound: int) -> tuple:
     n = sig.n
-    if sig.left_laurent:
-        left = [0] * n
+
+    def vector(laurent: bool) -> tuple:
+        vec = [0] * n
         for _ in range(rng.randint(0, degree_bound)):
-            left[rng.randrange(n)] += rng.choice((-1, 1))
-        left = tuple(left)
-    elif sig.left_var:
-        left = [0] * n
-        for _ in range(rng.randint(0, degree_bound)):
-            left[rng.randrange(n)] += 1
-        left = tuple(left)
-    else:
-        left = ()
+            vec[rng.randrange(n)] += rng.choice((-1, 1)) if laurent else 1
+        return tuple(vec)
+
+    left = vector(sig.left_laurent) if sig.left_laurent or sig.left_var else ()
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    grp = tuple(perm)
     cliff = tuple(rng.randint(0, 1) for _ in range(n)) if sig.has_clifford else ()
-    if sig.right_var:
-        right = [0] * n
-        for _ in range(rng.randint(0, degree_bound)):
-            right[rng.randrange(n)] += 1
-        right = tuple(right)
-    else:
-        right = ()
-    return (left, grp, cliff, right)
+    return (left, tuple(perm), cliff, vector(False) if sig.right_var else ())
 
 
 def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:

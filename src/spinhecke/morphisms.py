@@ -155,7 +155,7 @@ class TensorSignature:
     def sort_key(self, m):
         bits, im = m
         left, _, _, right = im
-        deg = sum(abs(e) for e in left) + sum(abs(e) for e in right)
+        deg = sum(map(abs, left)) + sum(map(abs, right))
         return (-deg, bits, im)
 
     def __repr__(self):

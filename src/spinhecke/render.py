@@ -11,8 +11,8 @@ __all__ = ["element_str", "element_json"]
 
 
 def sorted_terms(e) -> list:
-    key = e.sig.sort_key
-    return sorted(e.terms.items(), key=lambda item: key(item[0]))
+    terms = e.terms
+    return [(m, terms[m]) for m in sorted(terms, key=e.sig.sort_key)]
 
 
 def element_str(e) -> str:

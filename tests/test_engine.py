@@ -614,6 +614,27 @@ def test_signature_keeps_five_memo_tables():
     assert all(getattr(alg.dahca(3), k) for k in five)
 
 
+def test_every_atom_kind_has_a_slot_mover():
+    # the atoms of generators, basis monomials and rule words; the walk of
+    # _insert_word and the dispatcher _slot_insert reach the same mover
+    movers = engine.AlgebraSignature._MOVERS
+    rng = random.Random(11)
+    kinds = set()
+    for factory in ALL_FACTORIES + VARIANTS:
+        sig = factory(3)
+        monos = [random_monomial(sig, rng, 2) for _ in range(12)]
+        for a, b in zip(monos, monos[1:]):
+            monomial_element(sig, a) * monomial_element(sig, b)
+        atoms = [a for tok in sig.generator_tokens() for a in sig.atomize(tok)[1]]
+        atoms += [a for m in monos for a in sig.mono_atoms(m)]
+        atoms += [a for rules in sig._rule_cache.values() for _, word in rules for a in word]
+        kinds |= {a[0] for a in atoms}
+        for atom in atoms:
+            for mono in monos:
+                assert sig._slot_insert(atom, mono) == movers[atom[0]](sig, atom, mono)
+    assert kinds == set(movers) == {"L", "E", "C", "G", "R"}
+
+
 def test_power_stops_squaring_after_the_top_bit(monkeypatch):
     sig = alg.dahca(3)
     e = parse_expression("x1+y2+s1", sig)

@@ -1,5 +1,5 @@
-"""Property tests: parser round trip, field axioms up to identity, and
-division by y_i in the localized algebras."""
+"""Property tests: parser round trip, field axioms up to identity, division
+by y_i in the localized algebras, and word insertion into a filled dict."""
 
 import random
 
@@ -12,7 +12,7 @@ from spinhecke import algebras as alg  # noqa: E402
 from spinhecke.engine import generator_element, monomial_element, random_monomial  # noqa: E402
 from spinhecke.exprparse import parse_expression  # noqa: E402
 from spinhecke.render import element_str  # noqa: E402
-from spinhecke.scalars import ONE, QOmega, Scalar  # noqa: E402
+from spinhecke.scalars import ONE, QOmega, Scalar, ZERO, add_term  # noqa: E402
 
 # Derandomized and without an example database, so a run is repeatable and
 # leaves no files behind.
@@ -67,3 +67,31 @@ def test_y_divides_laurent_monomials(factory, n, seed):
     y, yinv = (generator_element(sig, (name, i)) for name in ("y", "yinv"))
     assert yinv * (y * m) == m
     assert y * (yinv * m) == m
+
+
+_PROBE_ALGEBRAS = ("DaHCa", "SDaHa", "TrigDaHCa", "TrigSDaHa", "AffineHC")
+
+
+@_SETTINGS
+@given(name=st.sampled_from(_PROBE_ALGEBRAS), n=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1))
+def test_insert_word_adds_into_a_filled_dict(name, n, seed):
+    # word * terms added into a filled dict gives the filled terms plus the
+    # product computed on its own; filled with the negated product, nothing
+    sig = alg.by_name(name, n)
+    rng = random.Random(seed)
+    word = sig.mono_atoms(random_monomial(sig, rng, 2))
+    terms = {random_monomial(sig, rng, 2): Scalar.from_rational(k) for k in (1, -2)}
+    product = sig._insert_word(word, terms)
+    assert product  # a basis monomial times a nonzero element is not zero
+    # the filled dict meets some product terms and some others
+    filled = {m: Scalar.from_rational(3) for m in list(product)[::2]}
+    filled.update((random_monomial(sig, rng, 2), sig.u_scalar) for _ in range(2))
+    expected = dict(filled)
+    for m, c in product.items():
+        add_term(expected, m, c)
+    out = dict(filled)
+    assert sig._insert_word(word, terms, out) is out
+    assert out == expected
+    assert ZERO not in out.values()
+    negated = {m: -c for m, c in product.items()}
+    assert sig._insert_word(word, terms, negated) == {}
