@@ -17,7 +17,7 @@ from .engine import (
 from .morphisms import _jm_terms, check_affine_map
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar, add_term
+from .scalars import ONE, Scalar
 
 __all__ = [
     "jucys_murphy",
@@ -138,8 +138,7 @@ def trig_commutator(i: int, eta, sig) -> Element:
         raise AlgebraError("trig_commutator lives in a trigonometric algebra")
     out: dict = {}
     for coeff, word in trig_comm_word_terms(sig, i, tuple(eta)):
-        for m, c in sig.normalize(word).items():
-            add_term(out, m, coeff * c)
+        sig._insert_word(word, {sig.one_mono: coeff}, out)
     return Element(sig, out)
 
 

@@ -386,8 +386,7 @@ class AlgebraSignature:
         due, so it meets, and may cancel against, every other term that needs
         that rule before :meth:`_cross` is applied once per monomial.  Slot
         moves are injective on monomials, so a walk past a stage loses no
-        cancellation.  Terms join a stage in place, by the rule of
-        :func:`add_term`: a key whose sum is ``ZERO`` is dropped."""
+        cancellation."""
         out = {} if out is None else out
         if not word:
             for mono, c in terms.items():
@@ -414,30 +413,14 @@ class AlgebraSignature:
                     dst = stage[i]
                     if dst is None:
                         dst = stage[i] = {}
-                    if sign < 0:
-                        c = -c
-                    prev = dst.get(mono)
-                    if prev is None:
-                        dst[mono] = c
-                    elif (c := prev + c) is ZERO:
-                        del dst[mono]
-                    else:
-                        dst[mono] = c
+                    add_term(dst, mono, -c if sign < 0 else c)
                     continue
                 # the stage's own atom is a cross rule
                 dst = stage[j - 1]
                 if dst is None:
                     dst = stage[j - 1] = {}
                 for m2, c2 in cross(word[j - 1], mono).items():
-                    if c is not ONE:
-                        c2 = c * c2
-                    prev = dst.get(m2)
-                    if prev is None:
-                        dst[m2] = c2
-                    elif (c2 := prev + c2) is ZERO:
-                        del dst[m2]
-                    else:
-                        dst[m2] = c2
+                    add_term(dst, m2, c2 if c is ONE else c * c2)
         return out
 
     def _cross(self, atom: tuple, mono: tuple) -> dict:
@@ -489,20 +472,12 @@ class AlgebraSignature:
         while rest:
             guess: dict = {}
             for (left, grp, cliff, right), c in rest.items():
-                sign, (_, *moved) = self._slot_insert(atom, (self._zeros, grp, cliff, right))
+                sign, (_, *moved) = self._move_right(atom, (self._zeros, grp, cliff, right))
                 add_term(guess, (left, *moved), -c if sign < 0 else c)
             for m, c in guess.items():
                 add_term(out, m, c)
-            for m, c in self._insert_word((up,), guess).items():
-                add_term(rest, m, -c)
+            self._insert_word((up,), {m: -c for m, c in guess.items()}, rest)
         return out
-
-    def _slot_insert(self, atom: tuple, mono: tuple):
-        """atom * mono as (sign, monomial) by the mover of its kind in
-        ``_MOVERS`` when it is index arithmetic on the slots; None for the
-        cross rules: r_i against a nonzero left slot, s_m against a nonzero a
-        or b slot, and epsv_i or zeta_i against a nonidentity group slot."""
-        return self._MOVERS[atom[0]](self, atom, mono)
 
     def _move_left(self, atom: tuple, mono: tuple):
         left, grp, cliff, right = mono
@@ -576,6 +551,10 @@ class AlgebraSignature:
         new[i - 1] += k
         return sign, (left, grp, cliff, tuple(new))
 
+    # atom * mono as (sign, monomial) when it is index arithmetic on the
+    # slots; None for the cross rules: r_i against a nonzero left slot, s_m
+    # against a nonzero a or b slot, and epsv_i or zeta_i against a group
+    # slot that is not the identity
     _MOVERS = {"L": _move_left, "E": _move_weight, "C": _move_cliff, "G": _move_group,
                "R": _move_right}
 
@@ -733,7 +712,7 @@ def _affine_words(sig, left: bool, m: int, i: int, k: int) -> list:
 
 def _rewrite_pair(sig, A: tuple, B: tuple) -> list:
     """The cross rules: A times the leading atom B of a monomial, for the
-    pairs that :meth:`AlgebraSignature._slot_insert` leaves to rewriting."""
+    pairs that the movers of ``AlgebraSignature._MOVERS`` leave to rewriting."""
     if "G" in (A[0], B[0]):
         # affine corrections: peel the letter s_m of the canonical word that
         # meets the polynomial slot; the rest q of the word stays outside
@@ -962,18 +941,30 @@ def verify_relations(sig) -> Report:
 
 def random_monomial(sig, rng: Random, degree_bound: int) -> tuple:
     n = sig.n
-
-    def vector(laurent: bool) -> tuple:
-        vec = [0] * n
+    if sig.left_laurent:
+        left = [0] * n
         for _ in range(rng.randint(0, degree_bound)):
-            vec[rng.randrange(n)] += rng.choice((-1, 1)) if laurent else 1
-        return tuple(vec)
-
-    left = vector(sig.left_laurent) if sig.left_laurent or sig.left_var else ()
+            left[rng.randrange(n)] += rng.choice((-1, 1))
+        left = tuple(left)
+    elif sig.left_var:
+        left = [0] * n
+        for _ in range(rng.randint(0, degree_bound)):
+            left[rng.randrange(n)] += 1
+        left = tuple(left)
+    else:
+        left = ()
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
+    grp = tuple(perm)
     cliff = tuple(rng.randint(0, 1) for _ in range(n)) if sig.has_clifford else ()
-    return (left, tuple(perm), cliff, vector(False) if sig.right_var else ())
+    if sig.right_var:
+        right = [0] * n
+        for _ in range(rng.randint(0, degree_bound)):
+            right[rng.randrange(n)] += 1
+        right = tuple(right)
+    else:
+        right = ()
+    return (left, grp, cliff, right)
 
 
 def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:
