@@ -6,7 +6,9 @@ All divided differences are evaluated by exact telescoping sums; no
 polynomial division is performed anywhere.  The three Dunkl operators share
 one telescoping kernel and differ only in the group-side parts they apply.
 ``verify_module`` reads relation words off a per-call table of generator
-columns, each computed once by ``act_token``.
+columns, each computed once by ``act_token`` and read in place.  The engine
+oracle normalizes each generator * v^exps product once and reads it off
+against every basis vector of W.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import algebras as alg
 from . import structure as st
 from .engine import _MEMO_OWNERS, AlgebraError, generator_element, monomial_element
 from .reports import Report
-from .scalars import ONE, Scalar, add_term
+from .scalars import ONE, ZERO, Scalar, add_term
 
 __all__ = [
     "FiniteModule",
@@ -66,8 +68,12 @@ class FiniteModule:
         return out
 
     def act_perm(self, perm: tuple, idx: int):
-        letter = "t" if self.spin else "s"
-        return self.act_tokens([(letter, m) for m in st.lehmer_word(perm)], idx)
+        key = ("perm", perm, idx)  # a 3-tuple: no (token, idx) key of act_gen
+        out = self._cache.get(key)
+        if out is None:
+            letter = "t" if self.spin else "s"
+            out = self._cache[key] = self.act_tokens([(letter, m) for m in st.lehmer_word(perm)], idx)
+        return out
 
     def _apply(self, token, terms):
         acc: dict = {}
@@ -141,7 +147,7 @@ class InducedVector:
     def __init__(self, module: FiniteModule, side: str, terms: dict | None = None):
         self.module = module
         self.side = side
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.terms = {k: v for k, v in (terms or {}).items() if v is not ZERO}
 
     @classmethod
     def vacuum(cls, module: FiniteModule, side: str = "y", idx: int = 0):
@@ -368,8 +374,10 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report
 
     Each call builds one column table, (token, (exps, idx)) -> the image of
     y^exps (x) w_idx under that generator, computed once by ``act_token``.
-    A relation word acts on a basis vector as a sparse product of columns,
-    and lhs - rhs is summed in one dict; the table is freed on return."""
+    A relation word acts on a basis vector as a sparse product of columns:
+    the first column is read in place, the word's coefficient multiplies in
+    at the last token, whose image goes straight into the one dict that sums
+    lhs - rhs.  The table is freed on return."""
     sig = _module_sig(family, W.n)
     u = sig.u_scalar
     report = Report(f"module[{sig.name}, {W.name}, deg<={degree_bound}]")
@@ -388,15 +396,21 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report
         for base in vectors:
             got: dict = {}
             for coeff, word in words:
-                terms = {base: coeff}
-                for token in reversed(word):
+                if not word:
+                    add_term(got, base, coeff)
+                    continue
+                # word[-1] acts first and word[0] last
+                terms = column(word[-1], base) if len(word) > 1 else {base: ONE}
+                for token in word[-2:0:-1]:
                     nxt: dict = {}
                     for key, c in terms.items():
                         for key2, c2 in column(token, key).items():
                             add_term(nxt, key2, c * c2)
                     terms = nxt
                 for key, c in terms.items():
-                    add_term(got, key, c)
+                    c = coeff if c is ONE else coeff * c
+                    for key2, c2 in column(word[0], key).items():
+                        add_term(got, key2, c if c2 is ONE else c * c2)
             if got:
                 exps, idx = base
                 witness = f"on y^{exps} (x) {W.label(idx)}: {InducedVector(W, 'y', got).render()}"
@@ -405,11 +419,10 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report
     return report
 
 
-def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y") -> InducedVector:
-    """Oracle: act through the rewriting engine.  Normalize generator * v^exps
-    in the y-first PBW order (``side="y"``, v = y) or in the standard DaHCa
-    order (``side="x"``, v = x), drop the terms with a surviving right slot,
-    which acts trivially on 1 (x) w, and read the rest off against 1 (x) w."""
+def _engine_product(token, exps: tuple, W: FiniteModule, side: str) -> list:
+    """generator * v^exps normalized by the engine, the terms with a surviving
+    right slot dropped (it acts trivially on 1 (x) w), as (left exponents,
+    group and Clifford letters, coeff) triples.  It does not depend on w."""
     n = W.n
     if side == "x":
         sig = alg.dahca(n)
@@ -417,14 +430,25 @@ def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y"
         sig = alg.sdaha_yfirst(n) if W.spin else alg.dahca_yfirst(n)
     mono = (exps, st.identity(n), sig._zeros if sig.has_clifford else (), tuple([0] * n))
     prod = generator_element(sig, token) * monomial_element(sig, mono)
+    return [(left, sig.letters((("G", grp), ("C", cliff))), coeff)
+            for (left, grp, cliff, right), coeff in prod.terms.items() if not any(right)]
+
+
+def _read_off(product: list, W: FiniteModule, idx: int, side: str) -> InducedVector:
+    """An engine product on 1 (x) w_idx; its letters act through W's generators."""
     out: dict = {}
-    for (left, grp, cliff, right), coeff in prod.terms.items():
-        if any(right):
-            continue
-        # the group and Clifford slots act on w through W's own generators
-        for c2, w2 in W.act_tokens(sig.letters((("G", grp), ("C", cliff))), idx):
-            add_term(out, (left, w2), coeff * c2)
+    for left, letters, coeff in product:
+        for c2, w2 in W.act_tokens(letters, idx):
+            add_term(out, (left, w2), coeff if c2 is ONE else coeff * c2)
     return InducedVector(W, side, out)
+
+
+def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y") -> InducedVector:
+    """Oracle: act through the rewriting engine.  Normalize generator * v^exps
+    in the y-first PBW order (``side="y"``, v = y) or in the standard DaHCa
+    order (``side="x"``, v = x), drop the terms with a surviving right slot,
+    and read the rest off against 1 (x) w_idx."""
+    return _read_off(_engine_product(token, exps, W, side), W, idx, side)
 
 
 def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side: str = "y") -> Report:
@@ -432,27 +456,28 @@ def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side
 
     ``side="y"`` checks every generator of ``family`` on C[y] (x) W (report
     ``oracle[...]``); ``side="x"`` checks the DaHCa generators, dunkl_y among
-    them, on C[x] (x) W (report ``oracle-x[...]``).
+    them, on C[x] (x) W (report ``oracle-x[...]``).  The engine product of
+    each (generator, exps) is built once, as in ``engine_action``, and read
+    off against every basis vector of W.
     """
     sig = _module_sig(family, W.n)
     u = sig.u_scalar
     tag = "oracle" if side == "y" else "oracle-x"
     report = Report(f"{tag}[{sig.name}, {W.name}, deg<={degree_bound}]")
     for token in sig.generator_tokens():
-        ok = True
         witness = None
         for exps in _poly_monomials(W.n, degree_bound):
+            product = _engine_product(token, exps, W, side)
             for idx in range(W.dim()):
                 direct = act_token(token, InducedVector(W, side, {(exps, idx): ONE}), u)
-                via_engine = engine_action(token, exps, W, idx, side)
+                via_engine = _read_off(product, W, idx, side)
                 if direct != via_engine:
-                    ok = False
                     witness = (
                         f"{side}^{exps} (x) {W.label(idx)}: dunkl={direct.render()} "
                         f"engine={via_engine.render()}"
                     )
                     break
-            if not ok:
+            if witness is not None:
                 break
-        report.add(f"{tag}[{token[0]}{token[1]}]", ok, witness)
+        report.add(f"{tag}[{token[0]}{token[1]}]", witness is None, witness)
     return report

@@ -802,7 +802,7 @@ class Element:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m, c in sig.mul_mono(m1, m2).items():
-                    add_term(out, m, c12 * c)
+                    add_term(out, m, c if c12 is ONE else c12 * c)
         return Element(sig, out)
 
     def __pow__(self, k: int) -> "Element":

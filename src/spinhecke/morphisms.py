@@ -26,7 +26,7 @@ from .engine import (
 )
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar, W
+from .scalars import ONE, Scalar, W, add_term
 
 __all__ = [
     "TensorSignature",
@@ -201,11 +201,13 @@ def apply_morphism(m: Morphism, a: Element) -> Element:
 
 def _apply_to_terms(m: Morphism, terms) -> Element:
     """A generator letter maps to its image; any other token is spelled in
-    the source's letters, once per call, and maps to their signed product."""
+    the source's letters, once per call, and maps to their signed product.
+    Each word's image is added into one dict, scaled by its coefficient."""
     expanded: dict = {}
-    out = Element.zero(m.target)
+    one = Element.one(m.target)
+    out: dict = {}
     for coeff, word in terms:
-        img = Element.one(m.target)
+        img = one
         for tok in word:
             hit = expanded.get(tok)
             if hit is None:
@@ -219,8 +221,9 @@ def _apply_to_terms(m: Morphism, terms) -> Element:
                 img = -img
             for g in hit[1]:
                 img = img * g
-        out = out + img.scale(coeff)
-    return out
+        for mono, c in img.terms.items():
+            add_term(out, mono, c if coeff is ONE else coeff * c)
+    return Element(m.target, out)
 
 
 def check_homomorphism(m: Morphism) -> Report:

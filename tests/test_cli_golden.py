@@ -103,3 +103,23 @@ def corpus_digest(verb: str) -> str:
 @pytest.mark.parametrize("verb", sorted(CORPUS))
 def test_cli_corpus_is_byte_identical(verb):
     assert corpus_digest(verb) == GOLDEN[verb], verb
+
+
+# The verification commands of the benchmark's suite workload, above the
+# corpus sizes: SHA-256 of the JSON stdout of each (exit code 0), generated
+# before the Dunkl oracle shared one engine product across the basis of W.
+SUITE_COMMANDS = {
+    ("verify-modules", "--algebra", "dahca", "--n", "3", "--degree-bound", "3"):
+        "a46abc2d5388d1c6ee4eb93e8ac4f557d2ab52982f6b701c3d3828e126641942",
+    ("verify-modules", "--algebra", "sdaha", "--n", "3", "--degree-bound", "3"):
+        "1a1b2273c1afa3e44c191e3dcddbc6f8430fb3aefb70968c37425963b0442afe",
+    ("verify-morphisms", "--n", "4"):
+        "7e6ee6e68f7cbea66b6f08aff73dde5ee477865a02d974b07d94df959cc74a31",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SUITE_COMMANDS))
+def test_suite_command_json_is_pinned(argv):
+    _, rc, out, err = _record(list(argv) + ["--format", "json"])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_COMMANDS[argv]

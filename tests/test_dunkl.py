@@ -194,6 +194,75 @@ def test_oracle_equivalence_x_n3():
     assert rep.ok, str(rep)
 
 
+# First failing check, its witness and the SHA-256 of the report (as above)
+# when only the Dunkl side is broken; generated while the engine oracle still
+# normalized one product per (generator, exps, basis vector).
+_BROKEN_ORACLE_PINS = {
+    ("tele", "dahca"): (
+        3, "oracle[x1]",
+        "y^(1, 0, 0) (x) 1: dunkl=0 engine=2*u*1 ⊗ 1 - u*1 ⊗ c1*c3 - u*1 ⊗ c1*c2",
+        "b2d973b536db2c329d6c2078e14f89d995303f4eb0a3cd120decea0778af23d9",
+    ),
+    ("tele", "sdaha"): (
+        3, "oracle[xi1]",
+        "y^(1, 0, 0) (x) 1: dunkl=0 engine=-u*1 ⊗ t1 + u*1 ⊗ t1*t2*t1",
+        "90df549e6d1723d84d4b207b717af92aa3fac22d911b397e98a46d5f7ea16198",
+    ),
+    ("perm", "dahca"): (
+        5, "oracle[x1]",
+        "y^(1, 0, 0) (x) c1*c2*c3: dunkl=u*1 ⊗ c3 - u*1 ⊗ c2 + 2*u*1 ⊗ c1*c2*c3 "
+        "engine=-u*1 ⊗ c3 + u*1 ⊗ c2 - 2*u*1 ⊗ c1*c2*c3",
+        "0f640cdc6bb329c32141dd016f3bcf7ad5786b46724773d51b9a0459931062f3",
+    ),
+    ("perm", "sdaha"): (
+        5, "oracle[xi1]",
+        "y^(1, 0, 0) (x) t1*t2*t1: dunkl=-u*1 ⊗ 1 + u*1 ⊗ t2*t1 engine=u*1 ⊗ 1 - u*1 ⊗ t2*t1",
+        "6d9ecef471cf661f5c79c27b56ab8431fa0156d0979eb51911bfde0c68cf6ecc",
+    ),
+}
+
+
+@pytest.mark.parametrize("brk, family", sorted(_BROKEN_ORACLE_PINS))
+def test_oracle_reports_a_broken_dunkl_side(monkeypatch, brk, family):
+    """Break only the Dunkl side: the telescoping sum loses its last term, or
+    the permutation action negates the last basis vector (so the witness sits
+    at a basis vector other than the first)."""
+    if brk == "tele":
+        tele = dk._tele
+        monkeypatch.setattr(dk, "_tele", lambda p, q: tele(p, q)[:-1])
+    else:
+        act_perm = dk.FiniteModule.act_perm
+
+        def flipped(self, perm, idx):
+            out = act_perm(self, perm, idx)
+            return [(-c, k) for c, k in out] if idx == self.dim() - 1 else out
+
+        monkeypatch.setattr(dk.FiniteModule, "act_perm", flipped)
+    W = dk.basic_spin(3) if family == "dahca" else dk.regular_spin(3)
+    rep = dk.oracle_equivalence(family, W, degree_bound=3)
+    n_fail, first_id, witness, digest = _BROKEN_ORACLE_PINS[brk, family]
+    assert rep.n_fail == n_fail
+    first = rep.failures()[0]
+    assert (first.id, first.witness) == (first_id, witness)
+    assert _report_digest(rep) == digest
+
+
+def test_act_perm_matches_its_lehmer_word():
+    from spinhecke import clear_caches
+    from spinhecke import structure as st
+
+    for W in (dk.basic_spin(3), dk.regular_spin(3)):
+        letter = "t" if W.spin else "s"
+        clear_caches()
+        for warm in (False, True):
+            for p in st.all_perms(3):
+                word = [(letter, m) for m in st.lehmer_word(p)]
+                for idx in range(W.dim()):
+                    got = W.act_perm(p, idx)
+                    assert {k: c for c, k in got} == {k: c for c, k in W.act_tokens(word, idx)}, (
+                        W.name, p, idx, warm)
+
+
 def test_phi_transport_of_module_action():
     """Transport the DaHCa action on C[y] (x) L_2 through Phi: each image in
     C_2 (x) sDaHa, acting on the same space (tensor Clifford factor by left
