@@ -22,7 +22,9 @@ Internal variants: ``*_localized`` widens the y slot to Laurent exponents,
 oracle order).
 
 Relations are stored as token words, so the same table drives both engine
-verification and the well-definedness checks of morphisms.
+verification and the well-definedness checks of morphisms.  T_ab, the
+Jucys-Murphy sums and the Hecke row are each spelled once, by ``_t_terms``,
+``jm_terms`` (which the morphisms read too) and ``_hecke``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "sdaha_yfirst",
     "specialize_u",
     "eta_instances",
+    "jm_terms",
 ]
 
 ALGEBRA_NAMES = (
@@ -80,9 +83,9 @@ def _tc(coeff, *toks):
 # Relation tables (token level)
 # ---------------------------------------------------------------------------
 #
-# Most defining relations share one shape, first*second = sign*second'*first,
-# built by _row.  Each builder below emits one family of such rows over all
-# index pairs; the per-algebra tables add their own Hecke and cross rows.
+# Most defining relations are first*second = sign*second'*first, built by _row.
+# Each builder emits one family of rows over all index pairs; the Hecke and
+# cross rows of every table come from _hecke and _cross_rels.
 
 _SHORT = {"epsv": "ev", "zeta": "z"}  # letters abbreviated in relation ids
 
@@ -143,15 +146,31 @@ def _cliff(n: int, v: str, diag=ONE, kind: str = "cliff") -> list:
     ]
 
 
-def _hecke(n: int, v: str, kappa) -> list:
-    """hecke[v_{i+1},s_i]: v_{i+1} s_i - s_i v_i = kappa (1 - c_{i+1} c_i)."""
+def _t_terms(spin: bool, coeff, a: int, b: int, head: tuple = ()) -> list:
+    """coeff * head * T_ab as token terms: T_ab = (1 + c_a c_b) s_ab, or the
+    odd transposition [a, b] in the spin tower."""
+    if spin:
+        return [(coeff, head + (("oddtr", a, b),))]
+    sab = ("sij", a, b)
+    return [(coeff, head + (sab,)), (coeff, head + (("c", a), ("c", b), sab))]
+
+
+def jm_terms(spin: bool, i: int) -> list:
+    """The Jucys-Murphy element M_i = sum_{k<i} T_ki as token terms."""
+    return [term for k in range(1, i) for term in _t_terms(spin, ONE, k, i)]
+
+
+def _hecke(sig, v: str, kappa) -> list:
+    """hecke[v_{i+1},g_i]: v_{i+1} s_i - s_i v_i = kappa (1 - c_{i+1} c_i) in
+    the Clifford tower, v_{i+1} t_i + t_i v_i = kappa in the spin one."""
+    g, sign = ("t", ONE) if sig.spin else ("s", _MINUS)
     return [
         (
-            _rid("hecke", (v, i + 1), ("s", i)),
-            [_t((v, i + 1), ("s", i)), _tc(_MINUS, ("s", i), (v, i))],
-            [_tc(kappa), _tc(-kappa, ("c", i + 1), ("c", i))],
+            _rid("hecke", (v, i + 1), (g, i)),
+            [_t((v, i + 1), (g, i)), _tc(sign, (g, i), (v, i))],
+            [_tc(kappa)] + ([] if sig.spin else [_tc(-kappa, ("c", i + 1), ("c", i))]),
         )
-        for i in range(1, n)
+        for i in range(1, sig.n)
     ]
 
 
@@ -197,39 +216,28 @@ def _relations_affine_hc(sig) -> list:
         _relations_clifford_sym(sig)
         + _like(n, "a")
         + _far(n, "s", "a", letter_first=True)
-        + _hecke(n, "a", ONE)
+        + _hecke(sig, "a", ONE)
         + _cliff(n, "a", _MINUS)
     )
 
 
 def _relations_spin_affine(sig) -> list:
     n = sig.n
-    hecke = [
-        (
-            f"hecke[b{i+1},t{i}]",
-            [_t(("b", i + 1), ("t", i))],
-            [_tc(_MINUS, ("t", i), ("b", i)), _t()],
-        )
-        for i in range(1, n)
-    ]
+    hecke = _hecke(sig, "b", ONE)
     return _coxeter_rels(n, "t") + _like(n, "b", _MINUS) + hecke + _far(n, "t", "b", _MINUS)
 
 
-def _xy_cross_rels(sig) -> list:
-    """[y_j, x_i] = u(1 + c_j c_i) s_ij and the diagonal correction sum."""
-    n, u = sig.n, sig.u_scalar
+def _cross_rels(sig) -> list:
+    """[y_i, v_j] = u T_ij for i != j and -u sum_{k != i} T_ki for i = j, with
+    v = x in DaHCa and xi in SDaHa."""
+    n, u, v = sig.n, sig.u_scalar, "xi" if sig.spin else "x"
     rels = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j:
-                rhs = [_tc(u, ("sij", i, j)), _tc(u, ("c", j), ("c", i), ("sij", i, j))]
-            else:
-                rhs = []
-                for k in range(1, n + 1):
-                    if k != i:
-                        rhs += [_tc(-u, ("sij", k, i)), _tc(-u, ("c", k), ("c", i), ("sij", k, i))]
-            lhs = [_t(("y", j), ("x", i)), _tc(_MINUS, ("x", i), ("y", j))]
-            rels.append((f"cross[y{j},x{i}]", lhs, rhs))
+            rhs = (_t_terms(sig.spin, u, i, j) if i != j else
+                   [t for k in range(1, n + 1) if k != i for t in _t_terms(sig.spin, -u, k, i)])
+            lhs = [_t(("y", i), (v, j)), _tc(_MINUS, (v, j), ("y", i))]
+            rels.append((f"cross[y{i},{v}{j}]", lhs, rhs))
     return rels
 
 
@@ -239,25 +247,20 @@ def _relations_dahca(sig) -> list:
         _relations_clifford_sym(sig)
         + _like(n, "x") + _conj(n, "s", "x") + _cliff(n, "x", _MINUS)
         + _like(n, "y") + _conj(n, "s", "y") + _cliff(n, "y")
-        + _xy_cross_rels(sig)
+        + _cross_rels(sig)
     )
 
 
 def _relations_sdaha(sig) -> list:
-    n, u = sig.n, sig.u_scalar
-    rels = (
+    n = sig.n
+    return (
         _coxeter_rels(n, "t")
         + _like(n, "xi", _MINUS)
         + _conj(n, "t", "xi", _MINUS, moved_only=True)
         + _far(n, "t", "xi", _MINUS)
         + _like(n, "y") + _conj(n, "t", "y", moved_only=True) + _far(n, "t", "y")
+        + _cross_rels(sig)
     )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ks = [k for k in range(1, n + 1) if k != i] if i == j else [j]
-            lhs = [_t(("y", i), ("xi", j)), _tc(_MINUS, ("xi", j), ("y", i))]
-            rels.append((f"cross[y{i},xi{j}]", lhs, [_tc(u, ("oddtr", i, k)) for k in ks]))
-    return rels
 
 
 def _unit_y_rels(sig) -> list:
@@ -305,11 +308,10 @@ def _divide_one_minus(num: dict, delta: tuple) -> dict:
 
 
 def _eta_rhs(sig, i: int, eta: tuple) -> list:
-    """[r_i, e^eta] as token terms: u sum_{k != i} sign_k Q_k T_ki, with
-    Q_k = (e^eta - e^{s_ik eta}) / (1 - e^delta), delta = eps_k - eps_i and
-    sign +1 when k > i, delta = eps_i - eps_k and sign -1 when k < i, and
-    T_ki = (1 - c_i c_k) s_ki, or the odd transposition [k, i] in the spin
-    algebra.  Computed here by division, apart from the engine's rewriting."""
+    """[r_i, e^eta] as token terms: u sum_{k != i} sign_k Q_k T_ki (``_t_terms``),
+    with Q_k = (e^eta - e^{s_ik eta}) / (1 - e^delta), delta = eps_k - eps_i and
+    sign +1 when k > i, delta = eps_i - eps_k and sign -1 when k < i.  Computed
+    here by division, apart from the engine's rewriting."""
     n, u = sig.n, sig.u_scalar
     out = []
     for k in range(1, n + 1):
@@ -322,11 +324,7 @@ def _eta_rhs(sig, i: int, eta: tuple) -> list:
         quot = _divide_one_minus({tuple(eta): 1, tuple(swapped): -1}, delta)
         for w, c in quot.items():
             coeff = Scalar.from_rational(c if k > i else -c) * u
-            if sig.spin:
-                out.append(_tc(coeff, ("E", w), ("oddtr", k, i)))
-            else:
-                out.append(_tc(coeff, ("E", w), ("sij", k, i)))
-                out.append(_tc(-coeff, ("E", w), ("c", i), ("c", k), ("sij", k, i)))
+            out += _t_terms(sig.spin, coeff, k, i, (("E", w),))
     return out
 
 
@@ -353,26 +351,18 @@ def _relations_trig_dahca(sig) -> list:
         + _trig_rels(sig)
         + _like(n, "epsv")
         + _cliff(n, "epsv", _MINUS)
-        + _hecke(n, "epsv", sig.u_scalar)
+        + _hecke(sig, "epsv", sig.u_scalar)
         + _far(n, "s", "epsv", letter_first=True)
     )
 
 
 def _relations_trig_sdaha(sig) -> list:
-    n, u = sig.n, sig.u_scalar
-    hecke = [
-        (
-            f"hecke[z{i+1},t{i}]",
-            [_t(("zeta", i + 1), ("t", i)), _t(("t", i), ("zeta", i))],
-            [_tc(u)],
-        )
-        for i in range(1, n)
-    ]
+    n = sig.n
     return (
         _coxeter_rels(n, "t")
         + _trig_rels(sig)
         + _like(n, "zeta", _MINUS)
-        + hecke
+        + _hecke(sig, "zeta", sig.u_scalar)
         + _far(n, "t", "zeta", _MINUS, letter_first=True)
     )
 

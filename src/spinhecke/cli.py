@@ -176,7 +176,7 @@ def _cmd_act(args) -> int:
         raise AlgebraError(f"--i {args.i} out of range 1..{args.n}")
     if not 0 <= args.vector < W.dim():
         raise AlgebraError(f"--vector {args.vector} out of range 0..{W.dim() - 1}")
-    poly_elem = parse_expression(args.expr, algebras.by_name(name, args.n))
+    poly_elem = parse_expression(args.expr, sig)
     terms = {}
     for (left, grp, cliff, right), coeff in poly_elem.terms.items():
         slot = right if side == "y" else left

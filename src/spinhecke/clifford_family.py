@@ -14,7 +14,7 @@ from .engine import (
     generator_element,
     trig_comm_word_terms,
 )
-from .morphisms import _jm_terms, check_affine_map
+from .morphisms import check_affine_map
 from .render import element_str
 from .reports import Report
 from .scalars import ONE, Scalar
@@ -38,7 +38,7 @@ def jucys_murphy(i: int, sig) -> Element:
     """M_i = sum_{k<i} (1 - c_i c_k) s_{ki}; M_1 = 0."""
     if not 1 <= i <= sig.n:
         raise AlgebraError(f"Jucys-Murphy index {i} out of range 1..{sig.n}")
-    return element_from_terms(sig, _jm_terms(False, i))
+    return element_from_terms(sig, alg.jm_terms(False, i))
 
 
 def _u_inverse(sig) -> Scalar:

@@ -32,7 +32,6 @@ __all__ = [
     "dunkl_xi",
     "act_token",
     "verify_module",
-    "engine_action",
     "oracle_equivalence",
 ]
 
@@ -314,10 +313,8 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
     kind = token[0]
     if kind in ("s", "t") and (kind == "t") != mod.spin:
         raise AlgebraError(f"{mod.name} module has no action for {token!r}")
-    if kind in ("s", "t", "sij", "oddtr", "perm"):
-        if kind == "perm":
-            sgn, perm = 1, token[1]
-        elif kind == "oddtr":
+    if kind in ("s", "t", "sij", "oddtr"):
+        if kind == "oddtr":
             sgn, perm = st.spin_group(n).odd_transposition(token[1], token[2])
         else:  # s(i,j), or the simple transposition (m, m+1) of s_m and t_m
             j = token[2] if kind == "sij" else token[1] + 1
@@ -443,22 +440,15 @@ def _read_off(product: list, W: FiniteModule, idx: int, side: str) -> InducedVec
     return InducedVector(W, side, out)
 
 
-def engine_action(token, exps: tuple, W: FiniteModule, idx: int, side: str = "y") -> InducedVector:
-    """Oracle: act through the rewriting engine.  Normalize generator * v^exps
-    in the y-first PBW order (``side="y"``, v = y) or in the standard DaHCa
-    order (``side="x"``, v = x), drop the terms with a surviving right slot,
-    and read the rest off against 1 (x) w_idx."""
-    return _read_off(_engine_product(token, exps, W, side), W, idx, side)
-
-
 def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side: str = "y") -> Report:
     """Dunkl action == induced-module action computed by engine rewriting.
 
     ``side="y"`` checks every generator of ``family`` on C[y] (x) W (report
     ``oracle[...]``); ``side="x"`` checks the DaHCa generators, dunkl_y among
-    them, on C[x] (x) W (report ``oracle-x[...]``).  The engine product of
-    each (generator, exps) is built once, as in ``engine_action``, and read
-    off against every basis vector of W.
+    them, on C[x] (x) W (report ``oracle-x[...]``).  The engine normalizes
+    generator * v^exps once per (generator, exps), in the y-first PBW order
+    (v = y) or in the standard DaHCa order (v = x), and reads the terms
+    without a right slot off against 1 (x) w for every basis vector w of W.
     """
     sig = _module_sig(family, W.n)
     u = sig.u_scalar

@@ -265,14 +265,9 @@ def check_inverse_pair(f: Morphism, g: Morphism, f_back: Morphism | None = None)
 # The named morphisms
 # ---------------------------------------------------------------------------
 
-def _cw_pair(c_index: int, letter, sign_flip: bool):
-    """(1/w)(c_i - c_{i+1}) * letter as image terms (or the flipped order)."""
-    i = c_index
-    first, second = (i + 1, i) if sign_flip else (i, i + 1)
-    return [
-        (_W_INV, (("c", first), letter)),
-        (-_W_INV, (("c", second), letter)),
-    ]
+def _cw_pair(a: int, b: int, letter) -> list:
+    """(1/w)(c_a - c_b) * letter as image terms."""
+    return [(_W_INV, (("c", a), letter)), (-_W_INV, (("c", b), letter))]
 
 
 # Phi<suffix>: even -> C_n (x) spin and its inverse Psi<suffix>, by suffix:
@@ -302,19 +297,9 @@ def _mirror_morphism(name: str, n: int) -> Morphism:
             a, b = odd if phi else odd[::-1]
             table[(a, i)] = [(W if phi else _W_INV, (("c", i), (b, i)))]
     g, h = ("s", "t") if phi else ("t", "s")
-    table.update({(g, i): _cw_pair(i, (h, i), not phi) for i in range(1, n)})
+    for i in range(1, n):
+        table[(g, i)] = _cw_pair(i, i + 1, (h, i)) if phi else _cw_pair(i + 1, i, (h, i))
     return Morphism(name, src, tgt, {t: element_from_terms(tgt, w) for t, w in table.items()})
-
-
-def _jm_terms(spin: bool, i: int) -> list:
-    """The Jucys-Murphy element M_i as token terms: sum_{k<i} (1 - c_i c_k) s_ki,
-    or sum_{k<i} [k, i] in the spin tower."""
-    if spin:
-        return [(ONE, (("oddtr", k, i),)) for k in range(1, i)]
-    out = []
-    for k in range(1, i):
-        out += [(ONE, (("sij", k, i),)), (-ONE, (("c", i), ("c", k), ("sij", k, i)))]
-    return out
 
 
 # Iota: rational -> trigonometric, J: trigonometric -> localized rational, and
@@ -340,7 +325,7 @@ def _trig_morphism(name: str, n: int) -> Morphism:
     p, r, u = rat.left_var, trig.right_var, tgt.u_scalar
     table = {tok: [(ONE, (tok,))] for tok in tgt.generator_tokens() if tok[0] in ("c", "s", "t")}
     for i in range(1, n + 1):
-        jm = _jm_terms(src.spin, i)
+        jm = alg.jm_terms(src.spin, i)
         if iota:
             table[("y", i)] = [(ONE, (("e", i),))]
             table[(p, i)] = [(ONE, (("einv", i), (r, i)))]
@@ -448,13 +433,7 @@ def check_distinguished_images(n: int) -> Report:
         for k in range(1, n + 1):
             if i == k:
                 continue
-            src_elt = element_from_terms(
-                phi.source,
-                [
-                    (_W_INV, (("c", i), ("sij", i, k))),
-                    (-_W_INV, (("c", k), ("sij", i, k))),
-                ],
-            )
+            src_elt = element_from_terms(phi.source, _cw_pair(i, k, ("sij", i, k)))
             lhs = apply_morphism(phi, src_elt)
             rhs = embed_inner(tgt, sf.odd_transposition(k, i, tgt.inner))
             ok = lhs == rhs

@@ -10,7 +10,7 @@ from .clifford_family import center_check as spin_center_check
 from .clifford_family import power_sum_y
 from .clifford_family import trig_commutator as spin_trig_commutator
 from .engine import AlgebraError, Element, element_from_terms, generator_element
-from .morphisms import _jm_terms, check_affine_map
+from .morphisms import check_affine_map
 from .reports import Report
 from .scalars import ONE, Scalar
 
@@ -40,7 +40,7 @@ def odd_jm(i: int, sig) -> Element:
     """The odd Jucys-Murphy element M_i = sum_{k<i} [k, i]; M_1 = 0."""
     if not 1 <= i <= sig.n:
         raise AlgebraError(f"Jucys-Murphy index {i} out of range 1..{sig.n}")
-    return element_from_terms(sig, _jm_terms(True, i))
+    return element_from_terms(sig, alg.jm_terms(True, i))
 
 
 def frak_z(i: int, sig) -> Element:
