@@ -122,10 +122,14 @@ def _cmd_verify_modules(args) -> int:
     module = "regular-spin" if family == "sdaha" else "basic-spin"
     if args.module not in (None, module):
         raise AlgebraError(f"{family} needs --module {module}")
-    algebras.by_name(family, args.n)  # refuses n < 2 before the 2^n-vector module is built
+    sig = algebras.by_name(family, args.n)  # refuses n < 2 before the module is built
+    if args.n > 5:  # dahca at n = 6, degree 2: 7 s and 124 MB; sdaha's module has n! vectors
+        raise AlgebraError(
+            f"verify-modules checks 2^n or n! module vectors; --n {args.n} exceeds the limit 5")
     W = dk.regular_spin(args.n) if family == "sdaha" else dk.basic_spin(args.n)
-    report = dk.verify_module(family, W, args.degree_bound)
-    report.extend(dk.oracle_equivalence(family, W, args.degree_bound))
+    columns = dk.ColumnTable(W, "y", sig.u_scalar)  # both checks read the same columns
+    report = dk.verify_module(family, W, args.degree_bound, columns)
+    report.extend(dk.oracle_equivalence(family, W, args.degree_bound, columns=columns))
     return _finish_report(args, "verify-modules", family, args.n, report)
 
 

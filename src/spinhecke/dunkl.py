@@ -5,10 +5,11 @@ operator actions of x_i, y_i and xi_i.
 All divided differences are evaluated by exact telescoping sums; no
 polynomial division is performed anywhere.  The three Dunkl operators share
 one telescoping kernel and differ only in the group-side parts they apply.
-``verify_module`` reads relation words off a per-call table of generator
-columns, each computed once by ``act_token`` and read in place.  The engine
-oracle normalizes each generator * v^exps product once and reads it off
-against every basis vector of W.
+``verify_module`` reads relation words off a table of generator columns,
+each computed once by ``act_token`` and read in place; the engine oracle
+compares the same columns with each generator * v^exps product, normalized
+once and read off against every basis vector of W.  One table serves both
+checks of one command, and is dropped with it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "dunkl_y",
     "dunkl_xi",
     "act_token",
+    "ColumnTable",
     "verify_module",
     "oracle_equivalence",
 ]
@@ -351,6 +353,30 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
     raise AlgebraError(f"no module action for token {token!r}")
 
 
+class ColumnTable(dict):
+    """(token, (exps, idx)) -> the terms of the image of v^exps (x) w_idx
+    under one generator, on C[v] (x) W with v the ``side`` variables.  A
+    column is computed by ``act_token`` on first lookup and kept for the
+    life of the table, which the caller creates for one check, or for the
+    two checks of one command, and then drops."""
+
+    def __init__(self, module: FiniteModule, side: str, u: Scalar):
+        super().__init__()
+        self.module, self.side, self.u = module, side, u
+
+    def __missing__(self, key):
+        token, vec = key
+        unit = InducedVector(self.module, self.side, {vec: ONE})
+        col = self[key] = act_token(token, unit, self.u).terms
+        return col
+
+    def check(self, module: FiniteModule, side: str, u: Scalar) -> "ColumnTable":
+        if (self.module, self.side, self.u) != (module, side, u):
+            raise ValueError(f"column table of {self.module.name} ({self.side} side) "
+                             f"does not serve {module.name} ({side} side)")
+        return self
+
+
 def _module_sig(family: str, n: int):
     return alg.dahca(n) if family == "dahca" else alg.sdaha(n)
 
@@ -365,27 +391,20 @@ def _poly_monomials(n: int, degree_bound: int):
             yield (e,) + rest
 
 
-def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report:
+def verify_module(family: str, W: FiniteModule, degree_bound: int = 4,
+                  columns: ColumnTable | None = None) -> Report:
     """Every defining relation, applied as an operator identity to every
     induced basis vector of bounded degree, must evaluate to zero.
 
-    Each call builds one column table, (token, (exps, idx)) -> the image of
-    y^exps (x) w_idx under that generator, computed once by ``act_token``.
-    A relation word acts on a basis vector as a sparse product of columns:
-    the first column is read in place, the word's coefficient multiplies in
-    at the last token, whose image goes straight into the one dict that sums
-    lhs - rhs.  The table is freed on return."""
+    The generator columns on C[y] (x) W come from ``columns``, a new
+    :class:`ColumnTable` if None.  A relation word acts on a basis vector as
+    a sparse product of columns: the first column is read in place, the
+    word's coefficient multiplies in at the last token, whose image goes
+    straight into the one dict that sums lhs - rhs."""
     sig = _module_sig(family, W.n)
     u = sig.u_scalar
     report = Report(f"module[{sig.name}, {W.name}, deg<={degree_bound}]")
-    columns: dict = {}
-
-    def column(token, key):
-        col = columns.get((token, key))
-        if col is None:
-            col = columns[token, key] = act_token(token, InducedVector(W, "y", {key: ONE}), u).terms
-        return col
-
+    columns = ColumnTable(W, "y", u) if columns is None else columns.check(W, "y", u)
     vectors = [(exps, idx) for exps in _poly_monomials(W.n, degree_bound) for idx in range(W.dim())]
     for rel_id, lhs, rhs in sig.relations():
         words = [*lhs, *((-c, word) for c, word in rhs)]
@@ -397,16 +416,16 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4) -> Report
                     add_term(got, base, coeff)
                     continue
                 # word[-1] acts first and word[0] last
-                terms = column(word[-1], base) if len(word) > 1 else {base: ONE}
+                terms = columns[word[-1], base] if len(word) > 1 else {base: ONE}
                 for token in word[-2:0:-1]:
                     nxt: dict = {}
                     for key, c in terms.items():
-                        for key2, c2 in column(token, key).items():
+                        for key2, c2 in columns[token, key].items():
                             add_term(nxt, key2, c * c2)
                     terms = nxt
                 for key, c in terms.items():
                     c = coeff if c is ONE else coeff * c
-                    for key2, c2 in column(word[0], key).items():
+                    for key2, c2 in columns[word[0], key].items():
                         add_term(got, key2, c if c2 is ONE else c * c2)
             if got:
                 exps, idx = base
@@ -440,7 +459,8 @@ def _read_off(product: list, W: FiniteModule, idx: int, side: str) -> InducedVec
     return InducedVector(W, side, out)
 
 
-def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side: str = "y") -> Report:
+def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side: str = "y",
+                       columns: ColumnTable | None = None) -> Report:
     """Dunkl action == induced-module action computed by engine rewriting.
 
     ``side="y"`` checks every generator of ``family`` on C[y] (x) W (report
@@ -449,9 +469,11 @@ def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side
     generator * v^exps once per (generator, exps), in the y-first PBW order
     (v = y) or in the standard DaHCa order (v = x), and reads the terms
     without a right slot off against 1 (x) w for every basis vector w of W.
+    The Dunkl side comes from ``columns``, a new :class:`ColumnTable` if None.
     """
     sig = _module_sig(family, W.n)
     u = sig.u_scalar
+    columns = ColumnTable(W, side, u) if columns is None else columns.check(W, side, u)
     tag = "oracle" if side == "y" else "oracle-x"
     report = Report(f"{tag}[{sig.name}, {W.name}, deg<={degree_bound}]")
     for token in sig.generator_tokens():
@@ -459,11 +481,12 @@ def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side
         for exps in _poly_monomials(W.n, degree_bound):
             product = _engine_product(token, exps, W, side)
             for idx in range(W.dim()):
-                direct = act_token(token, InducedVector(W, side, {(exps, idx): ONE}), u)
+                direct = columns[token, (exps, idx)]
                 via_engine = _read_off(product, W, idx, side)
-                if direct != via_engine:
+                if direct != via_engine.terms:
                     witness = (
-                        f"{side}^{exps} (x) {W.label(idx)}: dunkl={direct.render()} "
+                        f"{side}^{exps} (x) {W.label(idx)}: "
+                        f"dunkl={InducedVector(W, side, direct).render()} "
                         f"engine={via_engine.render()}"
                     )
                     break

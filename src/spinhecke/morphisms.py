@@ -119,7 +119,8 @@ class TensorSignature:
         return {(bits, im): c if sign > 0 else -c
                 for im, c in self.inner.normalize(tuple(inner)).items()}
 
-    def mul_mono(self, m1, m2) -> dict:
+    def mul_mono(self, m1, m2) -> tuple:
+        """m1 * m2 as a flat term tuple, the form of ``AlgebraSignature.mul_mono``."""
         key = (m1, m2)
         cached = self._mul_cache.get(key)
         if cached is not None:
@@ -129,10 +130,11 @@ class TensorSignature:
         sign = st.koszul_sign(self.inner.parity_mono(im1), sum(bits2))
         csgn, bits = st.cliff_mul(bits1, bits2)
         sign *= csgn
-        out = {}
-        for im, c in self.inner.mul_mono(im1, im2).items():
-            out[(bits, im)] = c if sign > 0 else -c
-        self._mul_cache[key] = out
+        out: list = []
+        it = iter(self.inner.mul_mono(im1, im2))
+        for im, c in zip(it, it):
+            out += ((bits, im), c if sign > 0 else -c)
+        out = self._mul_cache[key] = tuple(out)
         return out
 
     def relations(self):

@@ -247,6 +247,28 @@ def test_oracle_reports_a_broken_dunkl_side(monkeypatch, brk, family):
     assert _report_digest(rep) == digest
 
 
+def test_verify_modules_computes_each_column_once(monkeypatch, capsys):
+    # the module check and the engine oracle of one command read one column
+    # table, so no (generator, unit vector) column is computed twice
+    from spinhecke.cli import main
+
+    calls = []
+    act_token = dk.act_token
+
+    def counted(token, v, u=None):
+        calls.append((token, tuple(v.terms)))
+        return act_token(token, v, u)
+
+    monkeypatch.setattr(dk, "act_token", counted)
+    for family in ("dahca", "sdaha"):
+        calls.clear()
+        assert main(["verify-modules", "--algebra", family, "--n", "3", "--degree-bound", "3"]) == 0
+        assert calls and len(set(calls)) == len(calls), family
+    W = dk.basic_spin(2)
+    with pytest.raises(ValueError, match="does not serve"):
+        dk.oracle_equivalence("dahca", W, 1, side="x", columns=dk.ColumnTable(W, "y", U))
+
+
 def test_act_perm_matches_its_lehmer_word():
     from spinhecke import clear_caches
     from spinhecke import structure as st

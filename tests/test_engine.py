@@ -522,11 +522,13 @@ def test_import_keeps_the_recursion_limit():
 
 
 # _norm_cache key counts of single products in a fresh signature; the cross
-# rules, and so these counts, are fixed by the rewriting order
+# rules, and so these counts, are fixed by the rewriting order (the affine
+# rows count the group word outside s_m as simple letters, one cross each)
 NORM_CACHE_KEYS = (
     ("trigdahca", 2, "epsv(1)^8*e(1)^8", 519),
     ("dahca", 2, "y1^8*x1^8", 799),
-    ("affinehc", 4, "s(1,4)*a1^6", 1783),
+    ("affinehc", 4, "s(1,4)*a1^6", 1315),
+    ("affinehc", 4, "s(1,4)*a1^12", 9887),
 )
 
 
@@ -604,14 +606,31 @@ def test_clear_caches_empties_every_table():
     assert _warm_every_table() == digest
 
 
-def test_signature_keeps_five_memo_tables():
-    # cross rules, pair products, rule words and slot moves; a new table
-    # must also join clear_memo
-    five = {"_norm_cache", "_mul_cache", "_rule_cache", "_group_moves", "_cliff_moves"}
+def test_signature_keeps_six_memo_tables():
+    # cross rules, pair products, rule words, slot moves and the shared
+    # monomials of the memo values; a new table must also join clear_memo
+    six = {"_norm_cache", "_mul_cache", "_rule_cache", "_group_moves", "_cliff_moves",
+           "_shared_cache"}
     _warm_every_table()
     for sig in (alg.dahca(3), alg.sdaha(3), alg.sdaha(2)):
-        assert {k for k, v in vars(sig).items() if isinstance(v, dict)} == five, sig
-    assert all(getattr(alg.dahca(3), k) for k in five)
+        assert {k for k, v in vars(sig).items() if isinstance(v, dict)} == six, sig
+    assert all(getattr(alg.dahca(3), k) for k in six)
+
+
+@pytest.mark.parametrize("family", sorted(alg._LAYOUTS))
+def test_memo_values_share_every_monomial(family):
+    # each memo value is a flat tuple (m1, c1, m2, c2, ...), and equal
+    # monomials and slot tuples across all values are one object
+    sig = alg._make.__wrapped__(family, 3, None)
+    assert confluence_probe(sig, trials=30, degree_bound=3, seed=43).ok
+    values = [*sig._norm_cache.values(), *sig._mul_cache.values()]
+    assert all(type(v) is tuple and len(v) % 2 == 0 for v in values)
+    monos = [m for v in values for m in v[::2]]
+    assert monos and all(type(c) is sc.Scalar for v in values for c in v[1::2])
+    objects = monos + [slot for m in monos for slot in m]
+    assert len({id(o) for o in objects}) == len(set(objects))
+    assert all(sig._shared_cache[o] is o for o in objects)
+    assert all(key is value for key, value in sig._shared_cache.items())
 
 
 def test_every_atom_kind_has_a_slot_mover():

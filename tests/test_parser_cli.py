@@ -242,6 +242,7 @@ def test_cli_usage_errors_exit_two(capsys):
         ["cocycle-table", "--n", "0"],
         ["cocycle-table", "--n", "1"],
         ["cocycle-table", "--n", "7"],
+        ["verify-modules", "--algebra", "sdaha", "--n", "7", "--degree-bound", "2"],
     ):
         assert main(argv) == 2, argv
     for argv, message in (
@@ -261,6 +262,8 @@ def test_cli_usage_errors_exit_two(capsys):
          "cocycle-table prints (n!)^2 rows; --n 9 exceeds the limit 6"),
         (["verify-modules", "--algebra", "dahca", "--n", "-1"], "rank n must be at least 2"),
         (["verify-modules", "--algebra", "sdaha", "--n", "1"], "rank n must be at least 2"),
+        (["verify-modules", "--algebra", "dahca", "--n", "6", "--degree-bound", "2"],
+         "verify-modules checks 2^n or n! module vectors; --n 6 exceeds the limit 5"),
         (["normalize", "--algebra", "sym", "--n", "2", "--expr", "s(2,2)"],
          "at position 0: 's(i,j)' needs two different indices, got (2,2)"),
         (["normalize", "--algebra", "dahca", "--n", "3", "--expr", "x1*s33"],

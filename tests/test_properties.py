@@ -81,7 +81,7 @@ def test_insert_word_adds_into_a_filled_dict(name, n, seed):
     rng = random.Random(seed)
     word = sig.mono_atoms(random_monomial(sig, rng, 2))
     terms = {random_monomial(sig, rng, 2): Scalar.from_rational(k) for k in (1, -2)}
-    product = sig._insert_word(word, terms)
+    product = sig._insert_word(word, terms.items())
     assert product  # a basis monomial times a nonzero element is not zero
     # the filled dict meets some product terms and some others
     filled = {m: Scalar.from_rational(3) for m in list(product)[::2]}
@@ -90,8 +90,8 @@ def test_insert_word_adds_into_a_filled_dict(name, n, seed):
     for m, c in product.items():
         add_term(expected, m, c)
     out = dict(filled)
-    assert sig._insert_word(word, terms, out) is out
+    assert sig._insert_word(word, terms.items(), out) is out
     assert out == expected
     assert ZERO not in out.values()
     negated = {m: -c for m, c in product.items()}
-    assert sig._insert_word(word, terms, negated) == {}
+    assert sig._insert_word(word, terms.items(), negated) == {}
