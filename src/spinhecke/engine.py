@@ -45,15 +45,16 @@ Each rule swaps the pair and adds lower-degree correction terms, so the
 procedure terminates; the confluence suite checks independence of the
 result from association order.
 
-A positive right-letter power meeting the left slot is inserted in Horner
-order, r^k M = r (r^{k-1} M), by a loop that memoizes every (r^b, M) step.
+A right-letter power meeting the left slot is inserted in Horner order,
+r^k M = r (r^{k-1} M) and y^-k M = y^-1 (y^-(k-1) M), by one loop that
+memoizes every (r^b, M) step.
 Each rule crosses a whole power in one closed sum: r_i l_j^l = l_j^l r_i +
 sum_{t<l} l_j^t [r_i, l_j] l_j^(l-1-t); r_i e^lam = e^lam r_i + [r_i,
 e^lam], by the geometric sum of :func:`trig_comm_word_terms`; and s_m v_i^k
 on the left slot, v_i^k s_m on the right, by the sums of
 :func:`_affine_words`.  So the rewriting depth does not grow with the power
-of the right letter.  A negative power of y has no rule of its own: y_i^-k M
-is a division through the positive rule, :meth:`AlgebraSignature._divide`.
+of the right letter.  y_i^-1 has no rule of its own: y_i^-1 M is the N with
+y_i N = M, solved by :meth:`AlgebraSignature._divide`.
 
 Every memo result (a cross rule, a Horner step, a division, or a pair
 product of :meth:`AlgebraSignature.mul_mono`) is stored once, by
@@ -462,13 +463,13 @@ class AlgebraSignature:
     def _cross(self, atom: tuple, mono: tuple) -> tuple:
         """atom * mono by a cross rule as a flat term tuple, memoized under
         the key (atom, mono); each rule word is inserted straight into the one
-        result dict, as the ``out`` of :meth:`_insert_word`."""
+        result dict, as the ``out`` of :meth:`_insert_word`.  A right power
+        meets the left slot in Horner steps of r or y^-1 (only y is Laurent,
+        so never the group slot), and :meth:`_divide` gives y_i^-1 M."""
         cache = self._norm_cache
         out = cache.get((atom, mono))
         if out is not None:
             return out
-        if atom[0] == "R" and atom[2] < 0:
-            return cache.setdefault((atom, mono), self._share(self._divide(atom, mono)))
         left, grp, cliff, right = mono
         if not any(left):  # epsv_i or zeta_i against sigma
             first, rest = ("G", grp), (left, self._id, cliff, right)
@@ -478,10 +479,13 @@ class AlgebraSignature:
             j = next(j for j, e in enumerate(left) if e)
             first = ("L", j + 1, left[j])
             rest = (left[:j] + (0,) + left[j + 1:], grp, cliff, right)
-        horner = atom[0] == "R" and atom[2] > 1 and first[0] != "G"
-        base = ("R", atom[1], 1) if horner else atom
+        horner = atom[0] == "R" and first[0] != "G"
+        unit = -1 if horner and atom[2] < 0 else 1
+        base = ("R", atom[1], unit) if horner else atom
         out = cache.get((base, mono))
-        if out is None:
+        if out is None and unit < 0:
+            out = cache[base, mono] = self._share(self._divide(base, mono))
+        elif out is None:
             rules = self._rule_cache.get((base, first))
             if rules is None:
                 rules = tuple((c, w) for c, w in _rewrite_pair(self, base, first) if not c.is_zero)
@@ -491,9 +495,8 @@ class AlgebraSignature:
                 self._insert_word(repl, ((rest, coeff),), out)
             out = cache[base, mono] = self._share(out)
         if horner:
-            # Horner order, r^b M = r (r^{b-1} M) for b = 2..k, each step memoized
-            for b in range(2, atom[2] + 1):
-                key = (("R", atom[1], b), mono)
+            for b in range(2, abs(atom[2]) + 1):
+                key = (("R", atom[1], b * unit), mono)
                 step = cache.get(key)
                 if step is None:
                     it = iter(out)
@@ -502,10 +505,10 @@ class AlgebraSignature:
         return out
 
     def _divide(self, atom: tuple, mono: tuple) -> dict:
-        """y_i^-k M as the one N with y_i^k N = M: guess y_i^-k past a zero left
-        slot in each residual term, add the guess to N and subtract y_i^k times
+        """y_i^-1 M as the one N with y_i N = M: guess y_i^-1 past a zero left
+        slot in each residual term, add the guess to N and subtract y_i times
         it; the leading terms cancel, so the residual's left degree falls."""
-        up, out, rest = ("R", atom[1], -atom[2]), {}, {mono: ONE}
+        up, out, rest = ("R", atom[1], 1), {}, {mono: ONE}
         while rest:
             guess: dict = {}
             for (left, grp, cliff, right), c in rest.items():

@@ -1,7 +1,8 @@
 """Expression front end for the CLI.
 
 Grammar (precedence ``^`` over ``*``/``/`` over ``+``/``-``, left
-associative)::
+associative; the factors of a term are read first and then multiplied from
+the right, which is the same product)::
 
     expr    := term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
@@ -112,14 +113,14 @@ class _Parser:
         return out
 
     def term(self) -> Element:
-        out = self.factor()
+        factors = [self.factor()]
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
             rhs = self.factor()
-            if op == "*":
-                out = out * rhs
-            else:
-                out = out * _invert(rhs)
+            factors.append(rhs if op == "*" else rhs ** -1)
+        out = factors.pop()
+        while factors:
+            out = factors.pop() * out
         return out
 
     def factor(self) -> Element:
@@ -219,10 +220,6 @@ class _Parser:
             return generator_element(self.sig, token)
         except AlgebraError as exc:
             raise ParseError(f"at position {at}: {exc}") from exc
-
-
-def _invert(e: Element) -> Element:
-    return e ** (-1)
 
 
 def parse_expression(text: str, sig) -> Element:

@@ -38,7 +38,9 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.n_fail == 0
+        """Some check ran and none failed: a report that checked nothing
+        does not pass."""
+        return bool(self.results) and self.n_fail == 0
 
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.ok]

@@ -7,6 +7,7 @@ import pytest
 
 from spinhecke import algebras as alg
 from spinhecke import clifford_family as cf
+from spinhecke import spin_family as sf
 from spinhecke.engine import (
     AlgebraError,
     bracket,
@@ -132,6 +133,22 @@ def test_power_sums_central():
         for k in (1, 2, 3):
             assert cf.center_check(cf.power_sum_y(k, sig)).ok
             assert cf.center_check(cf.power_sum_x_squared(k, sig)).ok
+
+
+def test_product_of_all_y_is_central():
+    # Y = y_1...y_n is central, also in the localized forms; the division
+    # oracle in test_properties.py shifts right exponents by Y^-k on this
+    for factory, check in (
+        (alg.dahca, cf.center_check),
+        (alg.dahca_localized, cf.center_check),
+        (alg.sdaha, sf.spin_center_check),
+        (alg.sdaha_localized, sf.spin_center_check),
+    ):
+        for n in (2, 3, 4):
+            sig = factory(n)
+            big_y = element_from_terms(sig, [(ONE, tuple(("y", i) for i in range(1, n + 1)))])
+            report = check(big_y)
+            assert report.ok, str(report)
 
 
 def test_center_example_scaled_symbolic():

@@ -167,6 +167,14 @@ def test_confluence_probe_small():
         assert report.ok, str(report)
 
 
+def test_report_that_checked_nothing_does_not_pass():
+    report = confluence_probe(alg.dahca(2), trials=0, degree_bound=2, seed=1)
+    assert not report.results
+    assert not report.ok
+    report.add("one", True)
+    assert report.ok
+
+
 def test_associativity_n4_sample():
     for make in (alg.dahca, alg.sdaha, alg.trig_dahca, alg.trig_sdaha):
         report = confluence_probe(make(4), trials=15, degree_bound=2, seed=2)
@@ -411,17 +419,18 @@ def test_memo_holds_only_cross_rules(family):
 def _laurent_monomial(sig, rng):
     # random_monomial draws only nonnegative right exponents; this one also
     # draws y_i^-1 and y_i^-2, so the negative-power R.L rule is reached
-    left, grp, cliff, _ = random_monomial(sig, rng, 2)
+    left, grp, cliff, _ = random_monomial(sig, rng, 3)
     return (left, grp, cliff, tuple(rng.randint(-2, 2) for _ in range(sig.n)))
 
 
 # SHA-256 over the JSON normal forms of the products ab below, one digest per
-# (family, n), pinned before the cross rules were rewritten.
+# (family, n), pinned with left degree <= 3 before y^-k went through the
+# unit Horner steps (the left degree <= 2 digests held through that change).
 LAURENT_PRODUCT_DIGESTS = {
-    ("dahca_loc", 2): "2e39185bceda93c3faf11a4f338a7edcf1a240391e1081a235c02cd679345268",
-    ("dahca_loc", 3): "e9a1c6054386f8283defc6c67efdcb6e191527546325b940bca7a19c3873f452",
-    ("sdaha_loc", 2): "13670221efcba77b082c169d884b065cbaa723e820edd70ce5b6b84e43a4fbee",
-    ("sdaha_loc", 3): "2d4de7431de1da4ec5ae74013d53dcd6681b9804edb092a62a18ebbdaf34d4e7",
+    ("dahca_loc", 2): "4e240d1a3cd478ec07dd01bdb426d31f485c5b3be5f77d08419e062f24aab031",
+    ("dahca_loc", 3): "cad11b607876fd733451c3fa41f023376a579d65b38328451a71f7103081ea10",
+    ("sdaha_loc", 2): "a75603651ee1f9b79ec3a8112b1bee6062125dee8515fcd352d64324efd566b3",
+    ("sdaha_loc", 3): "8c235ae3c03e872c05bb44a9648486ab742ef6cb6f140fc0b9046a022bd249ff",
 }
 
 
@@ -437,8 +446,9 @@ def test_laurent_products_associate(family):
             assert ab * c == a * (b * c), (family, n, element_str(a), element_str(b), element_str(c))
             h.update(json.dumps(element_json(ab), sort_keys=True).encode())
         assert h.hexdigest() == LAURENT_PRODUCT_DIGESTS[family, n], (family, n)
-        # y_i^-k crosses the left slot by division: its results are memoized
-        # under (atom, monomial), but only positive powers have rule words
+        # y_i^-k crosses the left slot in unit divisions: its results are
+        # memoized under (atom, monomial), but only positive powers have rule
+        # words
         assert any(atom[0] == "R" and atom[2] < 0 for atom, _ in sig._norm_cache)
         assert not [key for key in sig._rule_cache if key[0][0] == "R" and key[0][2] < 0]
 
@@ -480,8 +490,9 @@ DEEP_PRODUCTS = (
     ("trigdahca", 2, "epsv(1)^600*s1", 1201),
     ("trigsdaha", 2, "zeta(1)^600*t1", 601),
     ("sdaha", 2, "y1^1100*xi1", 1101),
-    # a negative power of y divides: y_i^-k M is the N with y_i^k N = M, one
-    # round per left degree, each through the positive rule
+    # a negative power of y divides one power at a time: y_i^-k M is
+    # y_i^-1 (y_i^-(k-1) M), and y_i^-1 N is the N' with y_i N' = N, one round
+    # per left degree, each through the positive rule
     ("dahca_loc", 2, "y1^-600*x1", 1201),
     ("sdaha_loc", 2, "y1^-600*xi1", 601),
     ("dahca_loc", 2, "y1^-1*x1^200", 401),
@@ -529,6 +540,10 @@ NORM_CACHE_KEYS = (
     ("dahca", 2, "y1^8*x1^8", 799),
     ("affinehc", 4, "s(1,4)*a1^6", 1315),
     ("affinehc", 4, "s(1,4)*a1^12", 9887),
+    # a product chain is multiplied from the right, and y^-k divides in unit
+    # steps: 80,570 and 671 keys with a left fold and powered division
+    ("dahca_loc", 3, "y1^-3*x1^6*x2^6", 5433),
+    ("dahca", 3, "y1^2*y2^2*x1^4*x2^4*x3^2", 290),
 )
 
 

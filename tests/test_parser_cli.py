@@ -264,6 +264,10 @@ def test_cli_usage_errors_exit_two(capsys):
         (["verify-modules", "--algebra", "sdaha", "--n", "1"], "rank n must be at least 2"),
         (["verify-modules", "--algebra", "dahca", "--n", "6", "--degree-bound", "2"],
          "verify-modules checks 2^n or n! module vectors; --n 6 exceeds the limit 5"),
+        # C(5+4, 4) * 2^5 vectors at the default --degree-bound 4
+        (["verify-modules", "--algebra", "dahca", "--n", "5"],
+         "verify-modules checks C(n+d, d) * (2^n or n!) vectors; --n 5 --degree-bound 4 "
+         "gives 4032, over the limit 2600"),
         (["normalize", "--algebra", "sym", "--n", "2", "--expr", "s(2,2)"],
          "at position 0: 's(i,j)' needs two different indices, got (2,2)"),
         (["normalize", "--algebra", "dahca", "--n", "3", "--expr", "x1*s33"],

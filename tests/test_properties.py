@@ -1,5 +1,6 @@
 """Property tests: parser round trip, field axioms up to identity, division
-by y_i in the localized algebras, and word insertion into a filled dict."""
+by y_i and its powers in the localized algebras, and word insertion into a
+filled dict."""
 
 import random
 
@@ -67,6 +68,30 @@ def test_y_divides_laurent_monomials(factory, n, seed):
     y, yinv = (generator_element(sig, (name, i)) for name in ("y", "yinv"))
     assert yinv * (y * m) == m
     assert y * (yinv * m) == m
+
+
+@settings(_SETTINGS, max_examples=120)
+@given(
+    factory=st.sampled_from((alg.dahca_localized, alg.sdaha_localized)),
+    n=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_y_inverse_powers_match_the_central_shift(factory, n, seed):
+    # Y = y_1...y_n is central and even, with its y's in the right slot, so
+    # Y^-k N subtracts k from every right exponent of N, and
+    # y_i^-k M = Y^-k (prod_{j != i} y_j^k M): the right side takes only
+    # positive products and the shift, never a division
+    sig = factory(n)
+    rng = random.Random(seed)
+    left, grp, cliff, _ = random_monomial(sig, rng, 3)
+    m = monomial_element(sig, (left, grp, cliff, tuple(rng.randint(-2, 2) for _ in range(n))))
+    i, k = rng.randint(1, n), rng.randint(1, 3)
+    quotient = generator_element(sig, ("yinv", i)) ** k * m
+    for j in range(1, n + 1):
+        if j != i:
+            m = generator_element(sig, ("y", j)) ** k * m
+    shifted = {(l, g, c, tuple(e - k for e in r)): v for (l, g, c, r), v in m.terms.items()}
+    assert quotient.terms == shifted
 
 
 _PROBE_ALGEBRAS = ("DaHCa", "SDaHa", "TrigDaHCa", "TrigSDaHa", "AffineHC")
