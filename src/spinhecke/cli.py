@@ -29,11 +29,48 @@ from .structure import all_perms, spin_group
 SCHEMA = "spinhecke-report/1"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``
+    in one pass, for dicts with str keys, lists, tuples, str, None, bool
+    and int; ``pad`` is the newline and indent of the enclosing level.  Any
+    other leaf goes to ``json.dumps``.  A str item is encoded in place, as
+    most leaves are."""
+    inner = pad + " "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj):
+            v = obj[k]
+            text = _encode_str(v) if type(v) is str else _json(v, inner)
+            items.append(_encode_str(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_encode_str(v) if type(v) is str else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _emit(fmt: str, payload, text_lines) -> None:
     """Print the JSON report or the text lines.  Both are functions of no
     arguments, and only the one for ``fmt`` is called."""
     if fmt == "json":
-        print(json.dumps(payload(), sort_keys=True, separators=(",", ": "), indent=1))
+        print(_json(payload()))
     else:
         for line in text_lines():
             print(line)
@@ -45,7 +82,7 @@ def _payload(command: str, algebra: str, n: int, result, **extra) -> dict:
 
 
 def _report_payload(command: str, sig_name: str, n: int, report: Report) -> dict:
-    body = report.sorted().to_json()
+    body = report.to_json()
     return {
         "schema": SCHEMA,
         "command": command,

@@ -18,7 +18,14 @@ from functools import lru_cache
 
 from . import algebras as alg
 from . import structure as st
-from .engine import _MEMO_OWNERS, AlgebraError, generator_element, monomial_element
+from .engine import (
+    _MEMO_OWNERS,
+    AlgebraError,
+    _slot_str,
+    _spin_group_str,
+    generator_element,
+    monomial_element,
+)
 from .reports import Report
 from .scalars import ONE, ZERO, Scalar, add_term
 
@@ -93,10 +100,7 @@ class FiniteModule:
 
     def label(self, idx: int) -> str:
         b = self.basis[idx]
-        if self.spin:
-            word = st.lehmer_word(b)
-            return "*".join(f"t{m}" for m in word) if word else "1"
-        return "*".join(f"c{i}" for i, bit in enumerate(b, start=1) if bit) or "1"
+        return (_spin_group_str(b) if self.spin else _slot_str("c", False, b)) or "1"
 
 
 def _basic_spin_action(mod: FiniteModule, token, idx: int):
@@ -169,14 +173,9 @@ class InducedVector:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        var = self.side
         pieces = []
         for (exps, idx), coeff in sorted(self.terms.items(), key=lambda t: t[0]):
-            poly = "*".join(
-                (f"{var}{i}" if e == 1 else f"{var}{i}^{e}")
-                for i, e in enumerate(exps, start=1)
-                if e
-            ) or "1"
+            poly = _slot_str(self.side, False, exps) or "1"
             cs = coeff.render(atom=True)
             body = f"{poly} ⊗ {self.module.label(idx)}"
             pieces.append(body if cs == "1" else f"-{body}" if cs == "-1" else f"{cs}*{body}")

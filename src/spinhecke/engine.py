@@ -323,30 +323,13 @@ class AlgebraSignature:
         and canonical reduced words (``t1*t2*t1``) in the spin ones; both
         reparse to the same basis element."""
         left, grp, cliff, right = m
-        pieces = []
-        if self.left_laurent:
-            for i, e in enumerate(left, start=1):
-                if e > 0:
-                    pieces.append(_idx_pow(f"e({i})", e))
-                elif e < 0:
-                    pieces.append(_idx_pow(f"einv({i})", -e))
-        elif self.left_var:
-            for i, e in enumerate(left, start=1):
-                if e:
-                    pieces.append(_idx_pow(f"{self.left_var}{i}", e))
-        if grp != self._id:
-            pieces.append(_spin_group_str(grp) if self.spin else _plain_group_str(grp))
-        for i, bit in enumerate(cliff, start=1):
-            if bit:
-                pieces.append(f"c{i}")
-        if self.right_var:
-            name = self.right_var
-            call = name in ("epsv", "zeta")
-            for i, e in enumerate(right, start=1):
-                if e:
-                    base = f"{name}({i})" if call else f"{name}{i}"
-                    pieces.append(_idx_pow(base, e))
-        return "*".join(pieces) if pieces else "1"
+        texts = (
+            _slot_str(self.left_var, self.left_laurent, left),
+            _spin_group_str(grp) if self.spin else _plain_group_str(grp),
+            _slot_str("c", False, cliff),
+            _slot_str(self.right_var, self.right_var in ("epsv", "zeta"), right),
+        )
+        return "*".join(filter(None, texts)) or "1"
 
     def sort_key(self, m: tuple):
         """Terms print by falling polynomial degree, then by monomial."""
@@ -604,21 +587,33 @@ class AlgebraSignature:
 
 def clear_caches() -> None:
     """Empty every memo table: scalar products, sums, negatives and texts,
-    the memoized permutation and Clifford word helpers and group texts, the
-    SpinGroup tables, and the tables of every signature and module.
-    Interned scalars, signatures and modules stay, since equality compares
-    them by identity."""
+    the memoized permutation and Clifford word helpers, group and slot
+    texts, the SpinGroup tables, and the tables of every signature and
+    module.  Interned scalars, signatures and modules stay, since equality
+    compares them by identity."""
     for table in (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE):
         table.clear()
     for fn in (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st._word,
-               st.spin_group, _plain_group_str, _spin_group_str):
+               st.spin_group, _plain_group_str, _spin_group_str, _slot_str):
         fn.cache_clear()
     for owner in list(_MEMO_OWNERS):
         owner.clear_memo()
 
 
-def _idx_pow(base: str, e: int) -> str:
-    return base if e == 1 else f"{base}^{e}"
+@lru_cache(maxsize=None)
+def _slot_str(name: str, call: bool, exps: tuple) -> str:
+    """The letters of one slot, ``""`` for an empty one: ``x1^2*x3``, ``c1*c3``
+    for Clifford bits, ``epsv(2)`` when ``call``, ``einv(1)^2`` for a
+    negative e weight and ``y1^-2`` for a localized y."""
+    pieces = []
+    for i, e in enumerate(exps, start=1):
+        if e:
+            if name == "e" and e < 0:
+                base, e = f"einv({i})", -e
+            else:
+                base = f"{name}({i})" if call else f"{name}{i}"
+            pieces.append(base if e == 1 else f"{base}^{e}")
+    return "*".join(pieces)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ from .engine import (
     _MEMO_OWNERS,
     AlgebraError,
     Element,
+    _slot_str,
     check_relations,
     element_from_terms,
     generator_element,
@@ -148,11 +149,8 @@ class TensorSignature:
 
     def mono_str(self, m) -> str:
         bits, im = m
-        pieces = [f"c{i}" for i, bit in enumerate(bits, start=1) if bit]
-        inner = self.inner.mono_str(im)
-        if inner != "1":
-            pieces.append(inner)
-        return "*".join(pieces) if pieces else "1"
+        texts = (_slot_str("c", False, bits), self.inner.mono_str(im))
+        return "*".join(t for t in texts if t not in ("", "1")) or "1"
 
     def sort_key(self, m):
         bits, im = m

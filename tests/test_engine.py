@@ -371,6 +371,117 @@ def test_pinned_product_digests(family):
         assert _product_digest(sig) == PINNED_PRODUCT_DIGESTS[family, n], (family, n)
 
 
+# SHA-256 over the text of fixed seeded monomials, one digest per (family, n),
+# with exponents in -3..3 in the Laurent slots (e weights, and y in the
+# localized forms) and 0..3 elsewhere; a Clifford-free family adds the texts of
+# C_n (x) it.  Pinned before the slot texts were cached.
+RENDER_DIGESTS = {
+    ("affinehc", 2): "32510a4a3e27cd0b27800ebb52dc05536f2a0d61bd88b9aba7e42664f1b25ace",
+    ("affinehc", 3): "3cf943a3906470edd1eaec814162428a5071c9173ca8ee10765c3c68d2b9e48c",
+    ("affinehc", 4): "def8c6eada0724d9a3fdc3e1a5de46535028605d23342e299f191440f07d317d",
+    ("cliffordsym", 2): "b7c9fed434ff64df1213196728dd09cd1023df03ed06d630090a982db61a9f28",
+    ("cliffordsym", 3): "6552090a3cff3f3d7ea74c11c45d7d5caf2d09efb908fb8505e02ffa670493c4",
+    ("cliffordsym", 4): "c59e139fc5f13d6bc4faabf8ba8646eb958dd769b62a43795d29b636808710ca",
+    ("dahca", 2): "e199d057031a02ae3f493b64f3241bb027019d6e301602bfa9cb5c79c63711e5",
+    ("dahca", 3): "78eae3e76dcb6aa336649420d1574e01ab7c197f60bda570f0609940b0a00e82",
+    ("dahca", 4): "fe4ad856dab425bf1d92c83f463ef2c77b0598d1420b920f3a8796a2789bab6f",
+    ("dahca_loc", 2): "268ada8928329dbe6d51acb9fe41b0b643c5b28820442930cb1d7b5b78052223",
+    ("dahca_loc", 3): "53da98930bd449220b63c1dddf6dc3b944c25cbc26d3621367188b33b25705fb",
+    ("dahca_loc", 4): "d92e7890268ad6b55098069b34f9fa0f6165e598cabd12f726be39296e365800",
+    ("dahca_yfirst", 2): "20952a6aec7e488c706a2fee39470c9bb2f48493a6b37901244ce5b2f7582911",
+    ("dahca_yfirst", 3): "a5c5dc66d888656ea4a054a7090469589c9bbc69be68bb557ed6e4bb2231aadd",
+    ("dahca_yfirst", 4): "30b321ee4cf856ff4a4f14acebbf3a8c933499a24cd8692af9b05f79efbd4060",
+    ("sdaha", 2): "acf83e95b9583404ebcea6499917554a1ec79b289afc465897d8fa05eb48f77d",
+    ("sdaha", 3): "a738c3cd5318a449b8a8ad6d5cfc228ebfb2120bf3874882dd18fe1fa8359ffd",
+    ("sdaha", 4): "157bf1a79e2506552716cd0d0bb146e91a30193053266dc88cb674ec25d21fd3",
+    ("sdaha_loc", 2): "967d705b2c538f7cd031b9fe5b53a20f133828441ea3c952e47faa5206f3e1fa",
+    ("sdaha_loc", 3): "02e4f43da13ed01f21e0f58b5360c31ffcbeede95b3ff96d7cde3be3206d63ee",
+    ("sdaha_loc", 4): "8d7dcad39a2d4453e333d94416bfe1e03f8ca1e19d63a6679dc740b423e626c4",
+    ("sdaha_yfirst", 2): "64c6399e454607e6d9f174e24bc0bdb4a4b366b90a2d80cf1cc0a03c46437d5f",
+    ("sdaha_yfirst", 3): "4a57b3d9d981eee4b03b6d03bd09691603bed86fcd478d61df7c0e818c01871f",
+    ("sdaha_yfirst", 4): "43468caf0b2745d7e0107b24cbe179483b49c6deaedd94fe2a53178604154225",
+    ("spinaffine", 2): "ad4ded589e20a188ffba92e82115cfb6047154a500de5ce06539773943523eb6",
+    ("spinaffine", 3): "42f0b73018635d66830d156c4956296e4a0adb4d7478455359ab0ed8485658ce",
+    ("spinaffine", 4): "6ab1856449810a4855a5a0fb502e6f029b58f2ef94f97eba8f051ef48a741990",
+    ("spinsym", 2): "51e7b8cbe72189eb0f642e92c49403a026c5b04034e16869c4f9f59f19075051",
+    ("spinsym", 3): "8fe9585b005e47645ffec8742ed4d1f482d32eaf0e3c2a89ebce2a80cf638533",
+    ("spinsym", 4): "68b5f17a71af1ff52d9fff0f76304e15337b942d7d6744a8b0e0c3c24d09ccde",
+    ("sym", 2): "352d65b20a9f3f5def48f60140d088b5cfb878805b10a325a403f46cc916d02f",
+    ("sym", 3): "ce3afe4586eaa4eb930dc70eb41db0aa2d787a400d01a102dcf027352d67493d",
+    ("sym", 4): "6b6353c74c68e99d4c77b6db1676550beeb2d1c772d940fd1b0c9008f11db239",
+    ("trigdahca", 2): "e10e60020669724b4a343b9d927896b75b45c1e4629bdcce1e48049a495cdf26",
+    ("trigdahca", 3): "5845ae71503590575636515aa50be862e463ff9a48b8c66a3ebf47a0da988104",
+    ("trigdahca", 4): "bb8ca57b72d6ae5be12ec3c4623db3c0e94fb26cbfb26c7b45342d66f76329cc",
+    ("trigsdaha", 2): "f20dcb4643134d71d9c5502813fd2c101325c7007dbebcea1d6a1d182e133702",
+    ("trigsdaha", 3): "c6902443bd10f96363d669f4167395af0e98be3fb6c2bf3dd85d2d2b3609f9bf",
+    ("trigsdaha", 4): "b26137c38bbf47734fe323ba9ee36eb52349c5c912dffda4d541bbfcdf742c72",
+}
+
+# the same over every basis label of the basic and regular spin modules and
+# seeded induced vectors on both sides, one digest per n
+MODULE_RENDER_DIGESTS = {
+    2: "54d2274647080d76ebdfbd1de1299fb97dea75a5242ec3bc1d7782e396daa4e0",
+    3: "ff236f129b5bc7f59591c1065c3287ce6ac51607bc1d174e5f5c0bd4cf065b5c",
+    4: "88bbded29bea2cf114505dc4dd0ffaea6d2cae3763695c566e6402be936f90b9",
+}
+
+
+def _pinned_monomials(sig, rng):
+    n = sig.n
+
+    def slot(var, laurent):
+        low = -3 if laurent else 0
+        return tuple(rng.randint(low, 3) for _ in range(n)) if var else ()
+
+    yield sig.one_mono
+    for _ in range(60):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        cliff = tuple(rng.randint(0, 1) for _ in range(n)) if sig.has_clifford else ()
+        yield (slot(sig.left_var, sig.left_laurent), tuple(perm), cliff,
+               slot(sig.right_var, sig.right_laurent))
+
+
+def _render_digest(sig):
+    rng = random.Random(sig.n)
+    h = hashlib.sha256()
+    for m in _pinned_monomials(sig, rng):
+        h.update(sig.mono_str(m).encode() + b"\n")
+    if not sig.has_clifford:
+        tsig = mo.tensor_with_clifford(sig)
+        for m in _pinned_monomials(sig, rng):
+            bits = tuple(rng.randint(0, 1) for _ in range(sig.n))
+            h.update(tsig.mono_str((bits, m)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _module_render_digest(n):
+    rng = random.Random(n)
+    h = hashlib.sha256()
+    coeffs = (ONE, -ONE, U, sc.Scalar.from_rational(2))
+    for W in (dk.basic_spin(n), dk.regular_spin(n)):
+        for idx in range(W.dim()):
+            h.update(W.label(idx).encode() + b"\n")
+        for side in ("x", "y"):
+            for _ in range(20):
+                terms = {(tuple(rng.randint(0, 3) for _ in range(n)), rng.randrange(W.dim())):
+                         rng.choice(coeffs) for _ in range(rng.randint(0, 4))}
+                h.update(dk.InducedVector(W, side, terms).render().encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(alg._LAYOUTS))
+def test_monomial_texts_are_pinned(family):
+    for n in (2, 3, 4):
+        sig = alg._make(family, n, None)
+        assert _render_digest(sig) == RENDER_DIGESTS[family, n], (family, n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_module_texts_are_pinned(n):
+    assert _module_render_digest(n) == MODULE_RENDER_DIGESTS[n]
+
+
 def _random_unit_monomial(sig, rng):
     n = sig.n
     _, grp, cliff, _ = random_monomial(sig, rng, 0)
@@ -602,7 +713,7 @@ def test_clear_caches_empties_every_table():
     assert all(any(_memo_tables(o)) for o in warmed)
     owners = list(engine._MEMO_OWNERS)
     lru = (st.inverse, st.perm_parity, st.transposition, st.lehmer_word, st._word,
-           st.spin_group, engine._plain_group_str, engine._spin_group_str)
+           st.spin_group, engine._plain_group_str, engine._spin_group_str, engine._slot_str)
     scalar_tables = (sc._MUL_CACHE, sc._ADD_CACHE, sc._NEG_CACHE, sc._RENDER_CACHE)
     warm_sg = st.spin_group(3)
     perms = list(st.all_perms(3))

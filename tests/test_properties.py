@@ -1,7 +1,8 @@
 """Property tests: parser round trip, field axioms up to identity, division
-by y_i and its powers in the localized algebras, and word insertion into a
-filled dict."""
+by y_i and its powers in the localized algebras, word insertion into a
+filled dict, and the CLI's JSON writer."""
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from spinhecke import algebras as alg  # noqa: E402
+from spinhecke import cli  # noqa: E402
 from spinhecke.engine import generator_element, monomial_element, random_monomial  # noqa: E402
 from spinhecke.exprparse import parse_expression  # noqa: E402
 from spinhecke.render import element_str  # noqa: E402
@@ -120,3 +122,23 @@ def test_insert_word_adds_into_a_filled_dict(name, n, seed):
     assert ZERO not in out.values()
     negated = {m: -c for m, c in product.items()}
     assert sig._insert_word(word, terms.items(), negated) == {}
+
+
+_json_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f aZ\u00e9\u2297') | st.characters())
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+                | st.integers(max_value=-2**64) | _json_text)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_json_text, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+@_SETTINGS
+@given(obj=_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    # byte for byte the json.dumps call the CLI made before: sorted keys,
+    # ASCII escapes, one-space indent, tuples as lists, {} and [] when empty
+    expected = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    assert cli._json(obj) == expected
