@@ -138,7 +138,7 @@ def trig_commutator(i: int, eta, sig) -> Element:
         raise AlgebraError("trig_commutator lives in a trigonometric algebra")
     out: dict = {}
     for coeff, word in trig_comm_word_terms(sig, i, tuple(eta)):
-        sig._insert_word(word, ((sig.one_mono, coeff),), out)
+        sig._insert_term(word, sig.one_mono, coeff, out)
     return Element(sig, out)
 
 

@@ -20,11 +20,19 @@ into the group slot, with the cocycle beta in the spin algebras; a Clifford
 word crosses the left and group slots and multiplies into the Clifford slot;
 a right letter against a zero left slot crosses the group and Clifford slots
 into the right vector.  The kernel walks each term through these moves as
-one (sign, monomial) pair and collects terms in a dict only where a cross
-rule is due, so terms that meet there cancel before the rule is applied.
-The group and Clifford moves read two per-signature tables, each entry
-built once: (p, grp) -> (beta, p grp) and (grp, bits, cliff) -> (sign,
-bits').
+one (sign, monomial) pair, by the one loop :meth:`AlgebraSignature._walk`,
+and collects terms in a stage dict only where a cross rule is due, so terms
+that meet there cancel before the rule is applied.  Most insertions start
+from one term (a pair product, a normal form, a rule word into the rest of
+a monomial), and :meth:`AlgebraSignature._insert_term` walks that term
+alone to its first cross rule, with no stage dicts; only the rule's result
+terms, which may meet, take the rest of the word through the stages.  The
+group and Clifford moves read two per-signature tables, each entry built
+once: (p, grp) -> (beta, p grp) and (grp, bits, cliff) -> (sign, bits').
+A power of one slot atom, such as x_2^6 or e^(2 eps_1 - eps_2), is that atom
+with its exponent or weight times k, inserted into 1 by one move, not built
+by square-and-multiply; a letter meets only copies of itself, so no sign
+arises.
 
 Only the cross rules rewrite, and only their results are memoized, under
 the key (atom, monomial); their rule words are built once per (atom,
@@ -368,12 +376,12 @@ class AlgebraSignature:
         out = self._mul_cache.get(key)
         if out is None:
             out = self._mul_cache[key] = self._share(
-                self._insert_word(self.mono_atoms(m1), ((m2, ONE),)))
+                self._insert_term(self.mono_atoms(m1), m2, ONE, {}))
         return out
 
     def normalize(self, word: tuple) -> dict:
         """Straighten an atom word; returns {monomial: Scalar}."""
-        return self._insert_word(word, ((self.one_mono, ONE),))
+        return self._insert_term(word, self.one_mono, ONE, {})
 
     def _share(self, terms: dict) -> tuple:
         """The one stored form of a memo value: ``terms`` as a flat tuple
@@ -399,10 +407,10 @@ class AlgebraSignature:
 
         ``stage[j]`` collects the terms that have received ``word[j:]``, and
         ``stage[0]`` is ``out``.  Each term walks the atoms right to left as
-        one (sign, monomial) pair, each slot move done by the mover of its
-        atom kind in ``_MOVERS``, and joins the stage where a cross rule is
-        due, so it meets, and may cancel against, every other term that needs
-        that rule before :meth:`_cross` is applied once per monomial.  Slot
+        one (sign, monomial) pair, by :meth:`_walk`, and joins the stage
+        where a cross rule is due, so it meets, and may cancel against, every
+        other term that needs that rule before :meth:`_cross` is applied once
+        per monomial.  Slot
         moves are injective on monomials, so a walk past a stage loses no
         cancellation."""
         out = {} if out is None else out
@@ -413,21 +421,13 @@ class AlgebraSignature:
         top = len(word)
         stage = [None] * top + [terms]  # every other stage dict is made on first use
         stage[0] = out
-        movers, cross = self._MOVERS, self._cross
+        walk, cross = self._walk, self._cross
         for j in range(top, 0, -1):
             cur = stage[j]
             if cur is None:
                 continue
             for mono, c in (cur if j == top else cur.items()):
-                sign, i = 1, j
-                while i:
-                    atom = word[i - 1]
-                    hit = movers[atom[0]](self, atom, mono)
-                    if hit is None:
-                        break
-                    s, mono = hit
-                    sign *= s
-                    i -= 1
+                sign, i, mono = walk(word, j, mono)
                 if i < j:
                     dst = stage[i]
                     if dst is None:
@@ -443,10 +443,41 @@ class AlgebraSignature:
                     add_term(dst, m2, c2 if c is ONE else c * c2)
         return out
 
+    def _walk(self, word: tuple, i: int, mono: tuple) -> tuple:
+        """Move ``mono`` through ``word[:i]`` right to left by the slot moves
+        of ``_MOVERS``: (sign, i', moved) with ``word[i' - 1]`` the first atom
+        that needs a cross rule, or i' = 0 when every atom moved."""
+        movers, sign = self._MOVERS, 1
+        while i:
+            atom = word[i - 1]
+            hit = movers[atom[0]](self, atom, mono)
+            if hit is None:
+                break
+            s, mono = hit
+            sign *= s
+            i -= 1
+        return sign, i, mono
+
+    def _insert_term(self, word: tuple, mono: tuple, c: Scalar, out: dict) -> dict:
+        """Add word * (c mono) into ``out`` and return it: :meth:`_insert_word`
+        for one term, with no stage dicts.  The term walks to its first cross
+        rule alone; the rule's result terms take the rest of the word
+        together, through :meth:`_insert_word`, so they meet before the next
+        rule fires."""
+        sign, i, mono = self._walk(word, len(word), mono)
+        if sign < 0:
+            c = -c
+        if not i:
+            add_term(out, mono, c)
+            return out
+        it = iter(self._cross(word[i - 1], mono))
+        terms = zip(it, it) if c is ONE else ((m, c * d) for m, d in zip(it, it))
+        return self._insert_word(word[:i - 1], terms, out)
+
     def _cross(self, atom: tuple, mono: tuple) -> tuple:
         """atom * mono by a cross rule as a flat term tuple, memoized under
         the key (atom, mono); each rule word is inserted straight into the one
-        result dict, as the ``out`` of :meth:`_insert_word`.  A right power
+        result dict, as the ``out`` of :meth:`_insert_term`.  A right power
         meets the left slot in Horner steps of r or y^-1 (only y is Laurent,
         so never the group slot), and :meth:`_divide` gives y_i^-1 M."""
         cache = self._norm_cache
@@ -465,7 +496,8 @@ class AlgebraSignature:
         horner = atom[0] == "R" and first[0] != "G"
         unit = -1 if horner and atom[2] < 0 else 1
         base = ("R", atom[1], unit) if horner else atom
-        out = cache.get((base, mono))
+        # base is atom, whose key missed above, unless atom is a Horner power
+        out = cache.get((base, mono)) if horner and atom[2] != unit else None
         if out is None and unit < 0:
             out = cache[base, mono] = self._share(self._divide(base, mono))
         elif out is None:
@@ -475,7 +507,7 @@ class AlgebraSignature:
                 self._rule_cache[base, first] = rules
             out = {}
             for coeff, repl in rules:
-                self._insert_word(repl, ((rest, coeff),), out)
+                self._insert_term(repl, rest, coeff, out)
             out = cache[base, mono] = self._share(out)
         if horner:
             for b in range(2, abs(atom[2]) + 1):
@@ -846,7 +878,20 @@ class Element:
     def __pow__(self, k: int) -> "Element":
         if k < 0:
             return self._invert_monomial() ** (-k)
-        return sc.power(self, k, Element.one(self.sig))
+        sig = self.sig
+        if k > 1 and len(self.terms) == 1 and isinstance(sig, AlgebraSignature):
+            # one letter of a polynomial slot, x_i^e or e^lam: its k-th power
+            # is the one atom with the exponent times k, by one move
+            ((mono, c),) = self.terms.items()
+            atoms = sig.mono_atoms(mono)
+            if c is ONE and len(atoms) == 1 and atoms[0][0] in ("L", "R", "E"):
+                (atom,) = atoms
+                if atom[0] == "E":
+                    atom = ("E", tuple(e * k for e in atom[1]))
+                else:
+                    atom = (atom[0], atom[1], atom[2] * k)
+                return Element(sig, sig.normalize((atom,)))
+        return sc.power(self, k, Element.one(sig))
 
     def _invert_monomial(self) -> "Element":
         if not self.terms:

@@ -202,12 +202,12 @@ def apply_morphism(m: Morphism, a: Element) -> Element:
 def _apply_to_terms(m: Morphism, terms) -> Element:
     """A generator letter maps to its image; any other token is spelled in
     the source's letters, once per call, and maps to their signed product.
-    Each word's image is added into one dict, scaled by its coefficient."""
+    A word's images are multiplied from the right, and its image is added
+    into one dict, scaled by its coefficient and the product of the signs."""
     expanded: dict = {}
-    one = Element.one(m.target)
     out: dict = {}
     for coeff, word in terms:
-        img = one
+        sign, factors = 1, []
         for tok in word:
             hit = expanded.get(tok)
             if hit is None:
@@ -217,10 +217,13 @@ def _apply_to_terms(m: Morphism, terms) -> Element:
                     sgn, atoms = m.source.atomize(tok)
                     hit = (sgn, [m.image_of(g) for g in m.source.letters(atoms)])
                 expanded[tok] = hit
-            if hit[0] < 0:
-                img = -img
-            for g in hit[1]:
-                img = img * g
+            sign *= hit[0]
+            factors += hit[1]
+        img = factors.pop() if factors else Element.one(m.target)
+        while factors:
+            img = factors.pop() * img
+        if sign < 0:
+            coeff = -coeff
         for mono, c in img.terms.items():
             add_term(out, mono, c if coeff is ONE else coeff * c)
     return Element(m.target, out)

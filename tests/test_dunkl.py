@@ -133,6 +133,7 @@ def test_verify_module_small(monkeypatch):
         raise AssertionError("verify_module reached the rewriting engine")
 
     monkeypatch.setattr(AlgebraSignature, "_insert_word", refuse)
+    monkeypatch.setattr(AlgebraSignature, "_insert_term", refuse)
     monkeypatch.setattr(AlgebraSignature, "_cross", refuse)
     rep = dk.verify_module("dahca", dk.basic_spin(2), degree_bound=3)
     assert rep.ok, str(rep)

@@ -1,8 +1,11 @@
 """Property tests: parser round trip, field axioms up to identity, division
 by y_i and its powers in the localized algebras, word insertion into a
-filled dict, and the CLI's JSON writer."""
+filled dict, the lone-term walk against the stage path, one-letter powers
+against repeated products, and the CLI's JSON writer."""
 
+import functools
 import json
+import operator
 import random
 
 import pytest
@@ -12,7 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from spinhecke import algebras as alg  # noqa: E402
 from spinhecke import cli  # noqa: E402
-from spinhecke.engine import generator_element, monomial_element, random_monomial  # noqa: E402
+from spinhecke.engine import Element, generator_element, monomial_element, random_monomial  # noqa: E402
+from spinhecke.morphisms import tensor_with_clifford  # noqa: E402
 from spinhecke.exprparse import parse_expression  # noqa: E402
 from spinhecke.render import element_str  # noqa: E402
 from spinhecke.scalars import ONE, QOmega, Scalar, ZERO, add_term  # noqa: E402
@@ -122,6 +126,106 @@ def test_insert_word_adds_into_a_filled_dict(name, n, seed):
     assert ZERO not in out.values()
     negated = {m: -c for m, c in product.items()}
     assert sig._insert_word(word, terms.items(), negated) == {}
+
+
+def _laurent_monomial(sig, rng, degree_bound):
+    """A random monomial, with right exponents in -2..2 in the localized forms."""
+    left, grp, cliff, right = random_monomial(sig, rng, degree_bound)
+    if sig.right_laurent:
+        right = tuple(rng.randint(-2, 2) for _ in right)
+    return (left, grp, cliff, right)
+
+
+_WALK_FAMILIES = ("dahca", "sdaha", "trigdahca", "trigsdaha", "affinehc", "dahca_loc", "sdaha_loc")
+
+
+@_SETTINGS
+@given(
+    family=st.sampled_from(_WALK_FAMILIES),
+    n=st.sampled_from((2, 3)),
+    rule_word=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lone_term_walk_matches_the_stage_path(family, n, rule_word, seed):
+    # _insert_term moves one term without stage dicts; it must add exactly
+    # what _insert_word adds for the same term given as an iterator, into an
+    # empty dict and into a filled one.  The word is a monomial's atoms or a
+    # cross rule's word from the signature's rule table.
+    sig = alg._make.__wrapped__(family, n, None)  # fresh memo tables
+    rng = random.Random(seed)
+    if rule_word:
+        while not sig._rule_cache:
+            sig.mul_mono(_laurent_monomial(sig, rng, 3), _laurent_monomial(sig, rng, 3))
+        _, rules = rng.choice(sorted(sig._rule_cache.items()))
+        _, word = rng.choice(rules)
+    else:
+        word = sig.mono_atoms(_laurent_monomial(sig, rng, 3))
+    mono = _laurent_monomial(sig, rng, 2)
+    c = rng.choice((ONE, -ONE, Scalar.from_rational(-2), sig.u_scalar))
+    product = sig._insert_word(word, iter([(mono, c)]))
+    assert sig._insert_term(word, mono, c, {}) == product
+    filled = {m: Scalar.from_rational(3) for m in list(product)[::2]}
+    filled[_laurent_monomial(sig, rng, 2)] = sig.u_scalar
+    expected = dict(filled)
+    for m, v in product.items():
+        add_term(expected, m, v)
+    out = dict(filled)
+    assert sig._insert_term(word, mono, c, out) is out
+    assert out == expected
+
+
+def _product(factors, sig):
+    return functools.reduce(operator.mul, factors, Element.one(sig))
+
+
+# (family, letters of one slot atom): x, y, a, b, xi and zeta on either
+# side, epsv, and e and einv letters that make one Laurent weight
+_LETTERS = (
+    ("dahca", ("x",)), ("dahca", ("y",)), ("dahca_yfirst", ("x",)), ("affinehc", ("a",)),
+    ("spinaffine", ("b",)), ("sdaha", ("xi",)), ("sdaha", ("y",)), ("sdaha_yfirst", ("xi",)),
+    ("trigdahca", ("epsv",)), ("trigdahca", ("e",)), ("trigdahca", ("einv",)),
+    ("trigdahca", ("e", "einv")), ("trigsdaha", ("zeta",)), ("trigsdaha", ("einv", "e")),
+    ("dahca_loc", ("yinv",)), ("sdaha_loc", ("yinv",)),
+)
+
+
+@_SETTINGS
+@given(
+    letters=st.sampled_from(_LETTERS),
+    n=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 7),
+)
+def test_one_letter_powers_match_repeated_products(letters, n, seed, k):
+    # a power of one slot atom, such as xi2^3 or e(1)^2*einv(2), is one move;
+    # it must equal the k-fold product, odd letters included
+    family, kinds = letters
+    sig = alg._make(family, n, None)
+    rng = random.Random(seed)
+    indices = rng.sample(range(1, n + 1), len(kinds))
+    factors = [generator_element(sig, (kind, i)) for kind, i in zip(kinds, indices)]
+    e = rng.randint(1, 3)
+    base = _product(factors * e, sig)
+    assert base ** k == _product([base] * k, sig)
+    if kinds == ("yinv",):
+        # a negative power of y, or of y^-e, inverts the letter first
+        y = generator_element(sig, ("y", indices[0]))
+        assert y ** -k == _product(factors * k, sig)
+        assert base ** -k == _product([y] * (e * k), sig)
+
+
+@pytest.mark.parametrize("inner, letter", [
+    (alg.sdaha(2), "y"), (alg.sdaha(2), "xi"), (alg.spin_affine(3), "b"),
+])
+def test_tensor_powers_match_repeated_products(inner, letter):
+    # a TensorSignature has no slot atoms, so its powers keep square and
+    # multiply; (l1)^k and (c1*l1)^k must equal their repeated products
+    tsig = tensor_with_clifford(inner)
+    g = generator_element(tsig, (letter, 1))
+    cg = generator_element(tsig, ("c", 1)) * g
+    for base in (g, cg):
+        for k in range(8):
+            assert base ** k == _product([base] * k, tsig)
 
 
 _json_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f aZ\u00e9\u2297') | st.characters())
