@@ -292,6 +292,19 @@ class AlgebraSignature:
         """Decompose a basis monomial into its generator token word."""
         return self.letters(self.mono_atoms(m))
 
+    def word_length(self, m: tuple) -> int:
+        """The number of letters in ``mono_tokens(m)``, without spelling it."""
+        left, grp, cliff, right = m
+        return sum(map(abs, left + right)) + len(st.lehmer_word(grp)) + sum(cliff)
+
+    def inverse_word(self, m: tuple) -> tuple:
+        """An atom word of m^-1 up to a scalar: every atom is a unit,
+        inverted in reverse order."""
+        left, _, _, right = m
+        if (any(left) and not self.left_laurent) or (any(right) and not self.right_laurent):
+            raise AlgebraError("monomial is not invertible in this algebra")
+        return tuple(_inverse_atom(a) for a in reversed(self.mono_atoms(m)))
+
     def letters(self, atoms) -> tuple:
         """The generator letters of an atom word: a power repeats its letter
         (``yinv`` for a negative one), a Laurent weight becomes ``e`` and
@@ -900,12 +913,7 @@ class Element:
             raise AlgebraError("only invertible monomials can be raised to negative powers")
         (mono,) = self.terms
         sig = self.sig
-        left, _, _, right = mono
-        if (any(left) and not sig.left_laurent) or (any(right) and not sig.right_laurent):
-            raise AlgebraError("monomial is not invertible in this algebra")
-        # every atom is a unit: invert each one, in reverse order
-        word = tuple(_inverse_atom(a) for a in reversed(sig.mono_atoms(mono)))
-        cand = Element(sig, sig.normalize(word))
+        cand = Element(sig, sig.normalize(sig.inverse_word(mono)))
         ((_, c),) = (self * cand).terms.items()
         return cand.scale(ONE / c)
 

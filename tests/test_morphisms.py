@@ -1,11 +1,16 @@
 """The five isomorphism pairs, the rational <-> trigonometric maps, tensor
-targets with Koszul signs, and the distinguished image formulas."""
+targets with Koszul signs, the distinguished image formulas, and the suffix
+table of morphism application against a letter-by-letter oracle."""
 
 import random
+import sys
+
+import pytest
 
 from spinhecke import algebras as alg
 from spinhecke import morphisms as mo
 from spinhecke.engine import (
+    AlgebraError,
     Element,
     element_from_terms,
     generator_element,
@@ -13,7 +18,8 @@ from spinhecke.engine import (
     random_monomial,
     verify_relations,
 )
-from spinhecke.scalars import ONE, W
+from spinhecke.exprparse import parse_expression
+from spinhecke.scalars import ONE, Scalar, W
 from spinhecke.structure import koszul_sign
 
 
@@ -192,3 +198,121 @@ def test_koszul_sign_against_tensor():
     flipped = c2 * t1
     sign = koszul_sign(1, 1)
     assert prod == flipped.scale(ONE if sign > 0 else -ONE)
+
+
+def _oracle_image(m, coeff, word) -> Element:
+    """coeff * m(word) with no suffix table: every token is spelled in the
+    source's letters, with its sign, and the letters' images are multiplied
+    one at a time from the left."""
+    img, sign = Element.one(m.target), 1
+    for tok in word:
+        if tok in m.images:
+            letters = (tok,)
+        else:
+            sgn, atoms = m.source.atomize(tok)
+            sign *= sgn
+            letters = m.source.letters(atoms)
+        for g in letters:
+            img = img * m.images[g]
+    return img.scale(coeff if sign > 0 else -coeff)
+
+
+def _oracle(m, terms) -> Element:
+    out = Element.zero(m.target)
+    for coeff, word in terms:
+        out = out + _oracle_image(m, coeff, word)
+    return out
+
+
+def _random_source_element(m, rng) -> Element:
+    """A few random generator words with small coefficients, normalized."""
+    tokens = m.source.generator_tokens()
+    terms = [(Scalar.from_rational(rng.choice((1, -1, 2, -3))),
+              tuple(rng.choice(tokens) for _ in range(rng.randint(0, 5))))
+             for _ in range(rng.randint(1, 3))]
+    return element_from_terms(m.source, terms)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", mo.MORPHISM_NAMES)
+def test_suffix_table_matches_the_letter_by_letter_oracle(name, n):
+    # one table for all relation words, as in check_homomorphism: each word,
+    # and each side as a whole, maps to what the oracle multiplies out
+    m = mo.named_morphism(name, n)
+    table: dict = {}
+    for _, lhs, rhs in m.source.relations():
+        for side in (lhs, rhs):
+            for coeff, word in side:
+                assert mo._apply_to_terms(m, [(coeff, word)], table) == (
+                    _oracle_image(m, coeff, word)), (name, word)
+            assert mo._apply_to_terms(m, side, table) == _oracle(m, side)
+    rng = random.Random(f"{name}{n}")
+    for _ in range(12):
+        a = _random_source_element(m, rng)
+        terms = [(c, m.source.mono_tokens(mono)) for mono, c in a.terms.items()]
+        assert mo.apply_morphism(m, a) == _oracle(m, terms), (name, a)
+
+
+@pytest.mark.parametrize("name", ("PhiTr", "PsiTr", "J", "Psi"))
+def test_suffix_table_holds_each_suffix_once(name):
+    # one entry per distinct letter and per distinct suffix of two or more
+    # letters of the relation words: a suffix is found again, never rebuilt
+    m = mo.named_morphism(name, 3)
+    table: dict = {}
+    words = []
+    for _, lhs, rhs in m.source.relations():
+        for side in (lhs, rhs):
+            mo._apply_to_terms(m, side, table)
+            words += [word for _, word in side]
+    letters = {tok for word in words for tok in word}
+    suffixes = {word[i:] for word in words for i in range(len(word) - 1)}
+    assert len(table) == len(letters) + len(suffixes)
+
+
+def test_unshared_table_keeps_no_suffix_of_the_last_word():
+    # apply_morphism's table dies with the call, so the suffix images of its
+    # last word are dropped as they are used; earlier words keep theirs
+    m = mo.named_morphism("J", 2)
+    e, eps = ("einv", 1), ("epsv", 1)
+    first, last = (eps, e, e), (e,) * 30 + (eps,)
+    table: dict = {}
+    img = mo._apply_to_terms(m, [(ONE, first), (ONE, last)], table, shared=False)
+    assert img == _oracle(m, [(ONE, first), (ONE, last)])
+    assert len(table) == 2 + 2
+
+
+def test_oracle_words_include_signed_composite_tokens():
+    # the oracle test covers sij, E and oddtr tokens, and oddtr tokens of
+    # both signs
+    seen = set()
+    for name in mo.MORPHISM_NAMES:
+        m = mo.named_morphism(name, 2)
+        for _, lhs, rhs in m.source.relations():
+            for _, word in lhs + rhs:
+                seen.update((tok[0], m.source.atomize(tok)[0])
+                            for tok in word if tok not in m.images)
+    assert {("sij", 1), ("E", 1), ("oddtr", 1), ("oddtr", -1)} <= seen
+
+
+def test_long_words_map_at_the_default_recursion_limit():
+    # a 1,201-letter word walks its suffixes in a loop, not by recursion
+    phi = mo.named_morphism("Phi", 2)
+    a = parse_expression("x1*y1^1200", phi.source)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        img = mo.apply_morphism(phi, a)
+    finally:
+        sys.setrecursionlimit(limit)
+    expected = element_from_terms(phi.target, [(W, (("c", 1), ("xi", 1)) + (("y", 1),) * 1200)])
+    assert img == expected
+
+
+def test_words_over_the_letter_bound_are_refused():
+    phi = mo.named_morphism("Phi", 2)
+    y = generator_element(phi.source, ("y", 1))
+    assert mo.apply_morphism(phi, y ** mo.MAX_WORD_LETTERS) == (
+        generator_element(phi.target, ("y", 1)) ** mo.MAX_WORD_LETTERS)
+    with pytest.raises(AlgebraError, match="^Phi maps a monomial of 10001 letters; "
+                                           "the limit is 10000$"):
+        mo.apply_morphism(phi, y ** (mo.MAX_WORD_LETTERS + 1))

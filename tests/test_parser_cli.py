@@ -284,6 +284,11 @@ def test_cli_usage_errors_exit_two(capsys):
         (["normalize", "--algebra", "dahca", "--n", "2", "--expr",
           "(" * 20000 + "y1*x1" + ")" * 20000],
          "brackets nest deeper than 100 levels at position 100"),
+        # refused from its exponents, before the word is spelled
+        (["map", "--name", "Phi", "--n", "2", "--expr", "x1^99999999999"],
+         "Phi maps a monomial of 99999999999 letters; the limit is 10000"),
+        (["map", "--name", "Psi", "--n", "2", "--expr", "(c1*xi1)^-1"],
+         "monomial is not invertible in this algebra"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv
@@ -291,6 +296,17 @@ def test_cli_usage_errors_exit_two(capsys):
     # exactly MAX_NESTING levels, around call-form parentheses, still parse
     expr = "(" * MAX_NESTING + "epsv(1)^2*s1*e(2)" + ")" * MAX_NESTING
     assert main(["normalize", "--algebra", "trigdahca", "--n", "2", "--expr", expr]) == 0
+
+
+def test_cli_maps_inverses_from_tensor_sources():
+    # c_1 and t_1 are their own inverses in C_2 (x) SpinSym(2), and the
+    # inverse of a product is the product of the inverses, reversed
+    for expr, same in (("c1^-1", "c1"), ("t1^-1", "t1"), ("(c1*t1)^-1", "t1^-1*c1^-1")):
+        rc, out = _run(["map", "--name", "PsiFin", "--n", "2", "--expr", expr])
+        assert rc == 0, expr
+        assert out == _run(["map", "--name", "PsiFin", "--n", "2", "--expr", same])[1], expr
+    rc, out = _run(["map", "--name", "PsiFin", "--n", "2", "--expr", "c1^-1*c1"])
+    assert (rc, out) == (0, "1\n")
 
 
 def test_cli_non_scalar_flag_message(capsys):

@@ -1,7 +1,8 @@
 """Property tests: parser round trip, field axioms up to identity, division
 by y_i and its powers in the localized algebras, word insertion into a
 filled dict, the lone-term walk against the stage path, one-letter powers
-against repeated products, and the CLI's JSON writer."""
+against repeated products, inverses in the Clifford tensor algebras, word
+lengths against spelled words, and the CLI's JSON writer."""
 
 import functools
 import json
@@ -15,7 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from spinhecke import algebras as alg  # noqa: E402
 from spinhecke import cli  # noqa: E402
-from spinhecke.engine import Element, generator_element, monomial_element, random_monomial  # noqa: E402
+from spinhecke.engine import (  # noqa: E402
+    AlgebraError,
+    Element,
+    element_from_terms,
+    generator_element,
+    monomial_element,
+    random_monomial,
+)
 from spinhecke.morphisms import tensor_with_clifford  # noqa: E402
 from spinhecke.exprparse import parse_expression  # noqa: E402
 from spinhecke.render import element_str  # noqa: E402
@@ -226,6 +234,62 @@ def test_tensor_powers_match_repeated_products(inner, letter):
     for base in (g, cg):
         for k in range(8):
             assert base ** k == _product([base] * k, tsig)
+
+
+@pytest.mark.parametrize("inner", [alg.sdaha(2), alg.spin_affine(3)], ids=repr)
+def test_tensor_letters_invert(inner):
+    # in C (x) A the c_i and t_i are units, and their inverses come from the
+    # inner algebra's inverse word and the Clifford word; the polynomial
+    # letters are not units
+    tsig = tensor_with_clifford(inner)
+    one = Element.one(tsig)
+    units = 0
+    for tok in tsig.generator_tokens():
+        x = generator_element(tsig, tok)
+        if tok[0] in ("c", "t"):
+            inv = x ** -1
+            assert inv * x == one and x * inv == one, tok
+            units += 1
+        else:
+            with pytest.raises(AlgebraError, match="^monomial is not invertible in this algebra$"):
+                x ** -1
+    assert units == 2 * tsig.n - 1
+
+
+@_SETTINGS
+@given(
+    inner=st.sampled_from((alg.sdaha(2), alg.spin_affine(3), alg.sdaha_localized(2))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_unit_words_invert(inner, seed):
+    # a word in the units of C (x) A (c_i, t_i, and y_i^+-1 in the localized
+    # form) is one signed monomial, and its -1 and -k powers invert it
+    tsig = tensor_with_clifford(inner)
+    units = [tok for tok in tsig.generator_tokens() if tok[0] in ("c", "t", "y", "yinv")]
+    if not inner.right_laurent:
+        units = [tok for tok in units if tok[0] in ("c", "t")]
+    rng = random.Random(seed)
+    word = tuple(rng.choice(units) for _ in range(rng.randint(0, 6)))
+    x = element_from_terms(tsig, [(ONE, word)])
+    one = Element.one(tsig)
+    assert x ** -1 * x == one and x * x ** -1 == one
+    k = rng.randint(2, 3)
+    assert x ** -k * x ** k == one
+
+
+@_SETTINGS
+@given(name=st.sampled_from(alg.ALGEBRA_NAMES), n=st.sampled_from((2, 3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_word_length_counts_the_spelled_letters(name, n, seed):
+    # the bound on mapped words reads word_length before anything is spelled
+    sig = alg.by_name(name, n)
+    rng = random.Random(seed)
+    mono = random_monomial(sig, rng, 4)
+    assert sig.word_length(mono) == len(sig.mono_tokens(mono))
+    if not sig.has_clifford:
+        tsig = tensor_with_clifford(sig)
+        tmono = (tuple(rng.randint(0, 1) for _ in range(n)), mono)
+        assert tsig.word_length(tmono) == len(tsig.mono_tokens(tmono))
 
 
 _json_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f aZ\u00e9\u2297') | st.characters())
