@@ -34,10 +34,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _json(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``
-    in one pass, for dicts with str keys, lists, tuples, str, None, bool
-    and int; ``pad`` is the newline and indent of the enclosing level.  Any
-    other leaf goes to ``json.dumps``.  A str item is encoded in place, as
-    most leaves are."""
+    in one pass, for dicts with str keys, lists, tuples and int; ``pad`` is
+    the newline and indent of the enclosing level.  A str item is encoded
+    in place, as most leaves are; any other leaf goes to ``json.dumps``."""
     inner = pad + " "
     if isinstance(obj, dict):
         if not obj:
@@ -53,15 +52,7 @@ def _json(obj, pad: str = "\n") -> str:
             return "[]"
         items = [_encode_str(v) if type(v) is str else _json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if type(obj) is int:
         return int.__repr__(obj)
     return json.dumps(obj)
 
@@ -76,21 +67,8 @@ def _emit(fmt: str, payload, text_lines) -> None:
             print(line)
 
 
-def _payload(command: str, algebra: str, n: int, result, **extra) -> dict:
-    return {"schema": SCHEMA, "command": command, "algebra": algebra, "n": n,
-            "result": result, **extra}
-
-
-def _report_payload(command: str, sig_name: str, n: int, report: Report) -> dict:
-    body = report.to_json()
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "algebra": sig_name,
-        "n": n,
-        "results": body["results"],
-        "summary": body["summary"],
-    }
+def _payload(command: str, algebra: str, n: int, **fields) -> dict:
+    return {"schema": SCHEMA, "command": command, "algebra": algebra, "n": n, **fields}
 
 
 def _report_text(report: Report):
@@ -110,11 +88,11 @@ def _algebra_from_args(args):
 
 
 def _finish_report(args, command: str, sig_name: str, n: int, report: Report) -> int:
-    _emit(
-        args.format,
-        lambda: _report_payload(command, sig_name, n, report),
-        lambda: _report_text(report),
-    )
+    def payload():
+        body = report.to_json()
+        return _payload(command, sig_name, n, results=body["results"], summary=body["summary"])
+
+    _emit(args.format, payload, lambda: _report_text(report))
     return 0 if report.ok else 1
 
 
@@ -125,7 +103,7 @@ def _cmd_normalize(args) -> int:
     elem = parse_expression(args.expr, sig)
     _emit(
         args.format,
-        lambda: _payload("normalize", sig.name, sig.n, element_json(elem)),
+        lambda: _payload("normalize", sig.name, sig.n, result=element_json(elem)),
         lambda: [element_str(elem)],
     )
     return 0
@@ -157,22 +135,21 @@ def _cmd_verify_modules(args) -> int:
     if args.degree_bound < 0:
         raise ValueError(f"--degree-bound must be non-negative, got {args.degree_bound}")
     family = args.algebra
-    module = "regular-spin" if family == "sdaha" else "basic-spin"
+    make_sig, module, make_module, dim = dk._MODULES[family]
     if args.module not in (None, module):
         raise AlgebraError(f"{family} needs --module {module}")
-    sig = algebras.by_name(family, args.n)  # refuses n < 2 before the module is built
+    sig = make_sig(args.n)  # refuses n < 2 before the module is built
     if args.n > 5:  # dahca at n = 6, degree 2: 7 s and 124 MB; sdaha's module has n! vectors
         raise AlgebraError(
             f"verify-modules checks 2^n or n! module vectors; --n {args.n} exceeds the limit 5")
     # C(n+d, d) polynomials times dim W: sdaha n=5 d=2 has 2520 (3.1 s, 93 MB),
     # dahca n=5 d=4 has 4032 (13.8 s, 159 MB)
-    dim_w = math.factorial(args.n) if family == "sdaha" else 2**args.n
-    vectors = math.comb(args.n + args.degree_bound, args.degree_bound) * dim_w
+    vectors = math.comb(args.n + args.degree_bound, args.degree_bound) * dim(args.n)
     if vectors > 2600:
         raise AlgebraError(
             f"verify-modules checks C(n+d, d) * (2^n or n!) vectors; --n {args.n} "
             f"--degree-bound {args.degree_bound} gives {vectors}, over the limit 2600")
-    W = dk.regular_spin(args.n) if family == "sdaha" else dk.basic_spin(args.n)
+    W = make_module(args.n)
     columns = dk.ColumnTable(W, "y", sig.u_scalar)  # both checks read the same columns
     report = dk.verify_module(family, W, args.degree_bound, columns)
     report.extend(dk.oracle_equivalence(family, W, args.degree_bound, columns=columns))
@@ -207,21 +184,23 @@ def _cmd_cocycle_table(args) -> int:
     _emit(
         args.format,
         lambda: _payload("cocycle-table", "SpinSym", args.n,
-                         [{"p": list(p), "q": list(q), "beta": b} for p, q, b in table]),
+                         result=[{"p": list(p), "q": list(q), "beta": b} for p, q, b in table]),
         lambda: (f"beta{p},{q} = {b:+d}" for p, q, b in table),
     )
     return 0
 
 
 def _cmd_act(args) -> int:
-    name = {"dunkl-x": "dahca", "dunkl-y": "dahca", "dunkl-xi": "sdaha"}[args.op]
-    sig = algebras.by_name(name, args.n)
+    family = "sdaha" if args.op == "dunkl-xi" else "dahca"
+    make_sig, module, make_module, dim = dk._MODULES[family]
+    sig = make_sig(args.n)
     side = "x" if args.op == "dunkl-y" else "y"
-    W = dk.regular_spin(args.n) if args.module == "regular-spin" else dk.basic_spin(args.n)
-    if args.op == "dunkl-xi" and not W.spin:
-        raise AlgebraError("dunkl-xi needs --module regular-spin")
-    if args.op != "dunkl-xi" and W.spin:
-        raise AlgebraError(f"{args.op} needs --module basic-spin")
+    if args.module != module:
+        raise AlgebraError(f"{args.op} needs --module {module}")
+    if dim(args.n) > 400_000:  # basic-spin at n = 19: 1.8 s and 191 MB, doubling per rank
+        raise AlgebraError(f"act builds the {module} module of {dim(args.n)} vectors at "
+                           f"--n {args.n}, over the limit 400000")
+    W = make_module(args.n)
     if not 1 <= args.i <= args.n:
         raise AlgebraError(f"--i {args.i} out of range 1..{args.n}")
     if not 0 <= args.vector < W.dim():
@@ -236,7 +215,7 @@ def _cmd_act(args) -> int:
         terms[(slot, args.vector)] = coeff
     vec = dk.InducedVector(W, side, terms)
     text = dk.act_token((args.op.split("-")[1], args.i), vec, sig.u_scalar).render()
-    _emit(args.format, lambda: _payload("act", sig.name, args.n, text), lambda: [text])
+    _emit(args.format, lambda: _payload("act", sig.name, args.n, result=text), lambda: [text])
     return 0
 
 
@@ -246,7 +225,8 @@ def _cmd_map(args) -> int:
     image = mo.apply_morphism(m, elem)
     _emit(
         args.format,
-        lambda: _payload("map", m.target.name, args.n, element_json(image), morphism=args.name),
+        lambda: _payload("map", m.target.name, args.n, result=element_json(image),
+                         morphism=args.name),
         lambda: [element_str(image)],
     )
     return 0

@@ -14,6 +14,7 @@ checks of one command, and is dropped with it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from . import algebras as alg
@@ -21,13 +22,14 @@ from . import structure as st
 from .engine import (
     _MEMO_OWNERS,
     AlgebraError,
+    _bits,
     _slot_str,
     _spin_group_str,
     generator_element,
     monomial_element,
 )
 from .reports import Report
-from .scalars import ONE, ZERO, Scalar, add_term
+from .scalars import ONE, ZERO, Scalar, _join_signed, add_term
 
 __all__ = [
     "FiniteModule",
@@ -49,7 +51,8 @@ _MINUS = Scalar.from_rational(-1)
 
 class FiniteModule:
     """A module over C_n x| CS_n (``spin=False``) or CS_n^- (``spin=True``),
-    given by generator actions on an indexed basis."""
+    given by generator actions on an indexed basis.  Every action returns
+    the sparse map {basis index: coeff}."""
 
     def __init__(self, name: str, n: int, spin: bool, basis: tuple, gen_action):
         self.name = name
@@ -83,15 +86,15 @@ class FiniteModule:
             out = self._cache[key] = self.act_tokens([(letter, m) for m in st.lehmer_word(perm)], idx)
         return out
 
-    def _apply(self, token, terms):
+    def _apply(self, token, terms: dict) -> dict:
         acc: dict = {}
-        for c, idx in terms:
-            for c2, idx2 in self.act_gen(token, idx):
+        for idx, c in terms.items():
+            for idx2, c2 in self.act_gen(token, idx).items():
                 add_term(acc, idx2, c * c2)
-        return [(c, i) for i, c in acc.items()]
+        return acc
 
     def act_tokens(self, tokens, idx: int):
-        terms = [(ONE, idx)]
+        terms = {idx: ONE}
         for token in reversed(tokens):
             if token[0] in ("sij", "oddtr", "perm"):
                 raise AlgebraError(f"composite token {token!r} must be expanded first")
@@ -107,12 +110,11 @@ def _basic_spin_action(mod: FiniteModule, token, idx: int):
     bits = mod.basis[idx]
     kind, i = token
     if kind == "c":
-        unit = tuple(1 if m == i else 0 for m in range(1, mod.n + 1))
-        sgn, out = st.cliff_mul(unit, bits)
-        return [(ONE if sgn > 0 else _MINUS, mod.index[out])]
+        sgn, out = st.cliff_mul(_bits(mod, i), bits)
+        return {mod.index[out]: ONE if sgn > 0 else _MINUS}
     if kind == "s":
         sgn, out = st.cliff_conj(st.transposition(i, i + 1, mod.n), bits)
-        return [(ONE if sgn > 0 else _MINUS, mod.index[out])]
+        return {mod.index[out]: ONE if sgn > 0 else _MINUS}
     raise AlgebraError(f"basic spin module has no action for {token!r}")
 
 
@@ -124,7 +126,7 @@ def _regular_spin_action(mod: FiniteModule, token, idx: int):
     sg = st.spin_group(mod.n)
     s_i = st.transposition(i, i + 1, mod.n)
     sgn = sg.beta(s_i, w)
-    return [(ONE if sgn > 0 else _MINUS, mod.index[st.compose(s_i, w)])]
+    return {mod.index[st.compose(s_i, w)]: ONE if sgn > 0 else _MINUS}
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +143,14 @@ def regular_spin(n: int) -> FiniteModule:
     """The left regular module of CS_n^- on the basis {t_w}."""
     basis = tuple(sorted(st.all_perms(n)))
     return FiniteModule("regular-spin", n, True, basis, _regular_spin_action)
+
+
+# family -> (signature, module name, module, module dimension): DaHCa acts on
+# C[y] (x) L_n with dim L_n = 2^n, sDaHa on C[y] (x) CS_n^- with n! vectors
+_MODULES = {
+    "dahca": (alg.dahca, "basic-spin", basic_spin, lambda n: 2**n),
+    "sdaha": (alg.sdaha, "regular-spin", regular_spin, math.factorial),
+}
 
 
 class InducedVector:
@@ -179,10 +189,7 @@ class InducedVector:
             cs = coeff.render(atom=True)
             body = f"{poly} ⊗ {self.module.label(idx)}"
             pieces.append(body if cs == "1" else f"-{body}" if cs == "-1" else f"{cs}*{body}")
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-        return out
+        return _join_signed(pieces)
 
     def __repr__(self):
         return f"<induced {self.render()}>"
@@ -224,7 +231,7 @@ def divided_difference(poly: dict, i: int, k: int) -> dict:
 def _dunkl(i: int, v: InducedVector, u: Scalar | None, parts) -> InducedVector:
     """The one Dunkl kernel: u sum_{k != i} sum_{(sign, odd, T) in parts(k, w)}
     sign D_ik(f) (x) T(w), where D_ik(f) = (f - s_ik f)/(v_i - v_k) is the
-    telescoping sum and T(w) is given as [(coeff, basis index)].  With ``odd``
+    telescoping sum and T(w) is given as {basis index: coeff}.  With ``odd``
     set, D_ik is the signed telescoping for the v_k + v_i denominator.  A k
     where f has equal exponents at i and k contributes nothing."""
     u = Scalar.u_power(1) if u is None else u
@@ -241,19 +248,9 @@ def _dunkl(i: int, v: InducedVector, u: Scalar | None, parts) -> InducedVector:
                     if odd and not (p + new[i - 1]) & 1:
                         sgn = -sgn
                     base = uc if sign * sgn > 0 else -uc
-                    for c2, w2 in acted:
+                    for w2, c2 in acted.items():
                         add_term(out, (new, w2), base * c2)
     return InducedVector(v.module, v.side, out)
-
-
-def _clifford_pair(mod: FiniteModule, i: int, k: int, terms):
-    """c_i c_k applied to [(coeff, basis index)]."""
-    return [
-        (c * c3 * c4, w4)
-        for c, w in terms
-        for c3, w3 in mod.act_gen(("c", k), w)
-        for c4, w4 in mod.act_gen(("c", i), w3)
-    ]
 
 
 def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
@@ -265,7 +262,8 @@ def dunkl_x(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
 
     def parts(k, w):
         swapped = mod.act_perm(st.transposition(k, i, mod.n), w)
-        return [(1, False, swapped), (-1, False, _clifford_pair(mod, i, k, swapped))]
+        cc = mod._apply(("c", i), mod._apply(("c", k), swapped))
+        return [(1, False, swapped), (-1, False, cc)]
 
     return _dunkl(i, v, u, parts)
 
@@ -295,7 +293,8 @@ def dunkl_y(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
         # (f - s_{ki} f)/(x_k - x_i) (x) s_{ki}(w), and
         # (f - nu_{ik} s_{ki} f)/(x_k + x_i) (x) c_i c_k s_{ki}(w)
         swapped = mod.act_perm(st.transposition(k, i, mod.n), w)
-        return [(-1, False, swapped), (1, True, _clifford_pair(mod, i, k, swapped))]
+        cc = mod._apply(("c", i), mod._apply(("c", k), swapped))
+        return [(-1, False, swapped), (1, True, cc)]
 
     return _dunkl(i, v, u, parts)
 
@@ -303,7 +302,7 @@ def dunkl_y(i: int, v: InducedVector, u: Scalar | None = None) -> InducedVector:
 def _permute_exps(perm: tuple, exps: tuple) -> tuple:
     out = [0] * len(exps)
     for i, e in enumerate(exps, start=1):
-        out[st.apply_perm(perm, i) - 1] = e
+        out[perm[i - 1] - 1] = e
     return tuple(out)
 
 
@@ -322,7 +321,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
             sgn, perm = 1, st.transposition(token[1], j, n)
         out: dict = {}
         for (exps, w), coeff in v.terms.items():
-            for c2, w2 in mod.act_perm(perm, w):
+            for w2, c2 in mod.act_perm(perm, w).items():
                 val = coeff * c2
                 add_term(out, (_permute_exps(perm, exps), w2), val if sgn > 0 else -val)
         return InducedVector(mod, v.side, out)
@@ -331,7 +330,7 @@ def act_token(token, v: InducedVector, u: Scalar | None = None) -> InducedVector
         out = {}
         for (exps, w), coeff in v.terms.items():
             twist = v.side == "x" and exps[i - 1] & 1
-            for c2, w2 in mod.act_gen(token, w):
+            for w2, c2 in mod.act_gen(token, w).items():
                 val = coeff * c2
                 add_term(out, (exps, w2), -val if twist else val)
         return InducedVector(mod, v.side, out)
@@ -376,10 +375,6 @@ class ColumnTable(dict):
         return self
 
 
-def _module_sig(family: str, n: int):
-    return alg.dahca(n) if family == "dahca" else alg.sdaha(n)
-
-
 def _poly_monomials(n: int, degree_bound: int):
     if n == 0:
         yield ()
@@ -400,7 +395,7 @@ def verify_module(family: str, W: FiniteModule, degree_bound: int = 4,
     a sparse product of columns: the first column is read in place, the
     word's coefficient multiplies in at the last token, whose image goes
     straight into the one dict that sums lhs - rhs."""
-    sig = _module_sig(family, W.n)
+    sig = _MODULES[family][0](W.n)
     u = sig.u_scalar
     report = Report(f"module[{sig.name}, {W.name}, deg<={degree_bound}]")
     columns = ColumnTable(W, "y", u) if columns is None else columns.check(W, "y", u)
@@ -453,7 +448,7 @@ def _read_off(product: list, W: FiniteModule, idx: int, side: str) -> InducedVec
     """An engine product on 1 (x) w_idx; its letters act through W's generators."""
     out: dict = {}
     for left, letters, coeff in product:
-        for c2, w2 in W.act_tokens(letters, idx):
+        for w2, c2 in W.act_tokens(letters, idx).items():
             add_term(out, (left, w2), coeff if c2 is ONE else coeff * c2)
     return InducedVector(W, side, out)
 
@@ -470,7 +465,7 @@ def oracle_equivalence(family: str, W: FiniteModule, degree_bound: int = 4, side
     without a right slot off against 1 (x) w for every basis vector w of W.
     The Dunkl side comes from ``columns``, a new :class:`ColumnTable` if None.
     """
-    sig = _module_sig(family, W.n)
+    sig = _MODULES[family][0](W.n)
     u = sig.u_scalar
     columns = ColumnTable(W, side, u) if columns is None else columns.check(W, side, u)
     tag = "oracle" if side == "y" else "oracle-x"

@@ -235,8 +235,7 @@ class AlgebraSignature:
             self._check_index(i, "c")
             if not self.has_clifford:
                 raise AlgebraError(f"generator c{i} does not belong to {self.name}")
-            bits = tuple(1 if m == i else 0 for m in range(1, n + 1))
-            return 1, (("C", bits),)
+            return 1, (("C", _bits(self, i)),)
         if kind == "s":
             i = token[1]
             self._check_index(i, "s", self.n - 1)
@@ -1030,32 +1029,23 @@ def verify_relations(sig) -> Report:
     return check_relations(title, sig.relations(), lambda terms: element_from_terms(sig, terms))
 
 
+def _random_exps(rng: Random, n: int, degree_bound: int, laurent: bool) -> tuple:
+    """Up to ``degree_bound`` steps of +1, or of -1 or +1 in a Laurent slot."""
+    vec = [0] * n
+    for _ in range(rng.randint(0, degree_bound)):
+        vec[rng.randrange(n)] += rng.choice((-1, 1)) if laurent else 1
+    return tuple(vec)
+
+
 def random_monomial(sig, rng: Random, degree_bound: int) -> tuple:
     n = sig.n
-    if sig.left_laurent:
-        left = [0] * n
-        for _ in range(rng.randint(0, degree_bound)):
-            left[rng.randrange(n)] += rng.choice((-1, 1))
-        left = tuple(left)
-    elif sig.left_var:
-        left = [0] * n
-        for _ in range(rng.randint(0, degree_bound)):
-            left[rng.randrange(n)] += 1
-        left = tuple(left)
-    else:
-        left = ()
+    laurent = sig.left_laurent
+    left = _random_exps(rng, n, degree_bound, laurent) if laurent or sig.left_var else ()
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    grp = tuple(perm)
     cliff = tuple(rng.randint(0, 1) for _ in range(n)) if sig.has_clifford else ()
-    if sig.right_var:
-        right = [0] * n
-        for _ in range(rng.randint(0, degree_bound)):
-            right[rng.randrange(n)] += 1
-        right = tuple(right)
-    else:
-        right = ()
-    return (left, grp, cliff, right)
+    right = _random_exps(rng, n, degree_bound, False) if sig.right_var else ()
+    return (left, tuple(perm), cliff, right)
 
 
 def confluence_probe(sig, trials: int, degree_bound: int, seed: int) -> Report:

@@ -25,6 +25,7 @@ from .engine import (
     _MEMO_OWNERS,
     AlgebraError,
     Element,
+    _bits,
     _slot_str,
     check_relations,
     element_from_terms,
@@ -91,7 +92,7 @@ class TensorSignature:
             i = token[1]
             if not 1 <= i <= self.n:
                 raise AlgebraError(f"index {i} out of range for c in {self.name}")
-            return 1, (("TC", tuple(1 if m == i else 0 for m in range(1, self.n + 1))),)
+            return 1, (("TC", _bits(self, i)),)
         sgn, atoms = self.inner.atomize(token)
         return sgn, tuple(("I", a) for a in atoms)
 
@@ -137,13 +138,14 @@ class TensorSignature:
     def mul_mono(self, m1, m2) -> tuple:
         """m1 * m2 as a flat term tuple, the form of ``AlgebraSignature.mul_mono``.
 
-        The pair memo pays for itself.  In one ``suite`` pass, 15,324 of its
-        17,780 lookups are hits (86%).  A build that sent these products
-        through ``inner._insert_word`` with the Koszul and Clifford signs
-        gave the same output, but its Python calls rose from 302,988 to
-        534,509 on ``verify-morphisms --n 4``, from 112,177 to 163,662 on
-        ``--n 3`` and from 1.64M to 1.93M per ``suite`` pass, and ``suite``
-        ``op_p90_ms`` rose from about 31 to about 40 ms in 4 alternating
+        The pair memo pays for itself.  In one cold pass at seed 1, 1,190 of
+        its 3,629 lookups are hits on ``suite`` (33%) and 1,532 of 1,972 on
+        ``deep`` (78%).  A build that sent these products through
+        ``inner._insert_word`` with the Koszul and Clifford signs gave the
+        same output, but its Python calls rose from 302,988 to 534,509 on
+        ``verify-morphisms --n 4``, from 112,177 to 163,662 on ``--n 3`` and
+        from 1.64M to 1.93M per ``suite`` pass, and ``suite`` ``op_p90_ms``
+        rose from about 31 to about 40 ms in 4 alternating
         ``perfbench/run.py --seconds 5`` pairs."""
         key = (m1, m2)
         cached = self._mul_cache.get(key)

@@ -7,6 +7,8 @@ monomial, and ``sort_key(m)``, the order of terms in an element; see
 
 from __future__ import annotations
 
+from .scalars import _join_signed
+
 __all__ = ["element_str", "element_json"]
 
 
@@ -31,10 +33,7 @@ def element_str(e) -> str:
         else:
             body = f"{cs}*{ms}"
         pieces.append(body)
-    out = pieces[0]
-    for body in pieces[1:]:
-        out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-    return out
+    return _join_signed(pieces)
 
 
 def element_json(e) -> dict:

@@ -122,8 +122,7 @@ class QOmega:
             wpart = f"{_ratstr(q, d)}*w"
         if not p:
             return wpart
-        a = _ratstr(p, d)
-        joined = f"{a} - {wpart[1:]}" if wpart.startswith("-") else f"{a} + {wpart}"
+        joined = _join_signed([_ratstr(p, d), wpart])
         return f"({joined})" if atom else joined
 
     def __repr__(self) -> str:
@@ -272,6 +271,12 @@ def _prender(p: tuple) -> str:
             else:
                 body = f"{c.render(atom=True)}*{var}"
         pieces.append(body)
+    return _join_signed(pieces)
+
+
+def _join_signed(pieces: list) -> str:
+    """Term texts joined into ``a + b - c``: a text with a leading minus
+    joins with " - " and loses its sign."""
     out = pieces[0]
     for body in pieces[1:]:
         out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
@@ -298,10 +303,8 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __new__(cls, num: tuple, den: tuple, _reduced: bool = False) -> "Scalar":
-        if not _reduced:
-            num, den = _reduce(tuple(num), tuple(den))
-        return _intern(num, den)
+    def __new__(cls, num: tuple, den: tuple) -> "Scalar":
+        return _intern(*_reduce(tuple(num), tuple(den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -314,14 +317,13 @@ class Scalar:
 
     @classmethod
     def from_qomega(cls, c: QOmega) -> "Scalar":
-        num = (c,) if c else ()
-        return cls(num, _DEN1, _reduced=True)
+        return _intern((c,) if c else (), _DEN1)
 
     @classmethod
     def u_power(cls, k: int) -> "Scalar":
         if k >= 0:
-            return cls((_Q0,) * k + (_Q1,), _DEN1, _reduced=True)
-        return cls((_Q1,), (_Q0,) * (-k) + (_Q1,), _reduced=True)
+            return _intern((_Q0,) * k + (_Q1,), _DEN1)
+        return _intern((_Q1,), (_Q0,) * (-k) + (_Q1,))
 
     # -- predicates ---------------------------------------------------------
 

@@ -30,7 +30,6 @@ __all__ = [
     "identity",
     "compose",
     "inverse",
-    "apply_perm",
     "length",
     "perm_parity",
     "transposition",
@@ -70,10 +69,6 @@ def inverse(p: tuple) -> tuple:
     for i, v in enumerate(p):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def apply_perm(p: tuple, i: int) -> int:
-    return p[i - 1]
 
 
 def length(p: tuple) -> int:
@@ -279,7 +274,7 @@ class SpinGroup:
         prefix = compose(p, transposition(i, i + 1, self.n))
         # t_prefix * t_i adds the factor (1/w)(c_{prefix(i+1)} - c_{prefix(i)});
         # K' keeps it without the 1/w
-        factor = ((1 << (apply_perm(prefix, i + 1) - 1), 1), (1 << (apply_perm(prefix, i) - 1), -1))
+        factor = ((1 << (prefix[i] - 1), 1), (1 << (prefix[i - 1] - 1), -1))
         K = {}
         for wa, ca in self._kappa(prefix).items():
             for wb, cb in factor:

@@ -35,10 +35,10 @@ def test_basic_spin_is_a_module():
             for idx in range(W.dim()):
                 got = {}
                 for coeff, word in lhs:
-                    for c, k in W.act_tokens(word, idx):
+                    for k, c in W.act_tokens(word, idx).items():
                         got[k] = got.get(k, Scalar.from_rational(0)) + coeff * c
                 for coeff, word in rhs:
-                    for c, k in W.act_tokens(word, idx):
+                    for k, c in W.act_tokens(word, idx).items():
                         got[k] = got.get(k, Scalar.from_rational(0)) - coeff * c
                 assert all(v.is_zero for v in got.values()), (rel_id, idx)
 
@@ -51,10 +51,10 @@ def test_regular_spin_is_a_module():
             for idx in range(W.dim()):
                 got = {}
                 for coeff, word in lhs:
-                    for c, k in W.act_tokens(word, idx):
+                    for k, c in W.act_tokens(word, idx).items():
                         got[k] = got.get(k, Scalar.from_rational(0)) + coeff * c
                 for coeff, word in rhs:
-                    for c, k in W.act_tokens(word, idx):
+                    for k, c in W.act_tokens(word, idx).items():
                         got[k] = got.get(k, Scalar.from_rational(0)) - coeff * c
                 assert all(v.is_zero for v in got.values()), (rel_id, idx)
 
@@ -169,7 +169,7 @@ def test_verify_module_reports_a_broken_module():
 
     def negated_c2(mod, token, idx):
         out = base.act_gen(token, idx)
-        return [(-c, k) for c, k in out] if token == ("c", 2) else out
+        return {k: -c for k, c in out.items()} if token == ("c", 2) else out
 
     W = dk.FiniteModule("negated-c2", 3, False, base.basis, negated_c2)
     rep = dk.verify_module("dahca", W, degree_bound=3)
@@ -236,7 +236,7 @@ def test_oracle_reports_a_broken_dunkl_side(monkeypatch, brk, family):
 
         def flipped(self, perm, idx):
             out = act_perm(self, perm, idx)
-            return [(-c, k) for c, k in out] if idx == self.dim() - 1 else out
+            return {k: -c for k, c in out.items()} if idx == self.dim() - 1 else out
 
         monkeypatch.setattr(dk.FiniteModule, "act_perm", flipped)
     W = dk.basic_spin(3) if family == "dahca" else dk.regular_spin(3)
@@ -282,7 +282,7 @@ def test_act_perm_matches_its_lehmer_word():
                 word = [(letter, m) for m in st.lehmer_word(p)]
                 for idx in range(W.dim()):
                     got = W.act_perm(p, idx)
-                    assert {k: c for c, k in got} == {k: c for c, k in W.act_tokens(word, idx)}, (
+                    assert got == W.act_tokens(word, idx), (
                         W.name, p, idx, warm)
 
 
@@ -305,12 +305,12 @@ def test_phi_transport_of_module_action():
     def t_action(mod, token, idx):
         # t_m -> (1/w)(c_{m+1} - c_m) s_m inside C_n x| CS_n, acting on L_n
         m = token[1]
-        out = []
-        for c2, idx2 in Wmod.act_gen(("s", m), idx):
-            for c3, idx3 in Wmod.act_gen(("c", m + 1), idx2):
-                out.append((winv * (c2 * c3), idx3))
-            for c3, idx3 in Wmod.act_gen(("c", m), idx2):
-                out.append((-(winv * (c2 * c3)), idx3))
+        out = {}
+        for idx2, c2 in Wmod.act_gen(("s", m), idx).items():
+            for idx3, c3 in Wmod.act_gen(("c", m + 1), idx2).items():
+                add_term(out, idx3, winv * (c2 * c3))
+            for idx3, c3 in Wmod.act_gen(("c", m), idx2).items():
+                add_term(out, idx3, -(winv * (c2 * c3)))
         return out
 
     spin_structure = dk.FiniteModule("L2-spin", n, True, Wmod.basis, t_action)
@@ -333,7 +333,7 @@ def test_phi_transport_of_module_action():
                 if bits[i - 1]:
                     nxt = {}
                     for (exps, idx), c in terms.items():
-                        for c2, idx2 in Wmod.act_gen(("c", i), idx):
+                        for idx2, c2 in Wmod.act_gen(("c", i), idx).items():
                             key = (exps, idx2)
                             nxt[key] = nxt.get(key, Scalar.from_rational(0)) + c * c2
                     terms = nxt
@@ -353,7 +353,7 @@ def test_phi_transport_of_module_action():
         perm = st.transposition(token[1], token[1] + 1, n)
         out = {}
         for (exps, idx), c in vec.terms.items():
-            for c2, idx2 in vec.module.act_gen(token, idx):
+            for idx2, c2 in vec.module.act_gen(token, idx).items():
                 new = [0] * n
                 for a, e in enumerate(exps, start=1):
                     new[perm[a - 1] - 1] = e

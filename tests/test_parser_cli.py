@@ -117,6 +117,23 @@ def test_cli_normalize_matches_spec():
     assert out.strip() == "x1*y1 - u*s12 - u*s12*c1*c2"
 
 
+def test_cli_zero_prints_an_empty_term_list():
+    rc, out = _run(["normalize", "--algebra", "dahca", "--n", "2", "--expr", "0",
+                    "--format", "json"])
+    assert rc == 0
+    assert out == (
+        '{\n "algebra": "DaHCa",\n "command": "normalize",\n "n": 2,\n "result": {\n'
+        '  "algebra": "DaHCa",\n  "n": 2,\n  "terms": []\n },\n'
+        ' "schema": "spinhecke-report/1"\n}\n'
+    )
+
+
+def test_cli_parenthesizes_a_sum_in_the_denominator():
+    for expr, text in (("1/(u+1)", "1/(u + 1)"), ("x1/(u^2+w*u)", "1/(u^2 + w*u)*x1")):
+        assert _run(["normalize", "--algebra", "dahca", "--n", "2", "--expr", expr]) == (
+            0, text + "\n"), expr
+
+
 @pytest.mark.parametrize(
     "algebra, n, expr, expected, unit",
     [
@@ -281,6 +298,12 @@ def test_cli_usage_errors_exit_two(capsys):
          "dunkl-x needs --module basic-spin"),
         (["act", "--op", "dunkl-x", "--i", "1", "--n", "2", "--expr", "x1"],
          "--expr must be a polynomial in the y variables"),
+        # refused from the module's dimension, before the module is built
+        (["act", "--op", "dunkl-x", "--i", "1", "--n", "19", "--expr", "y1"],
+         "act builds the basic-spin module of 524288 vectors at --n 19, over the limit 400000"),
+        (["act", "--op", "dunkl-xi", "--module", "regular-spin", "--i", "1", "--n", "10",
+          "--expr", "y1"],
+         "act builds the regular-spin module of 3628800 vectors at --n 10, over the limit 400000"),
         (["normalize", "--algebra", "dahca", "--n", "2", "--expr",
           "(" * 20000 + "y1*x1" + ")" * 20000],
          "brackets nest deeper than 100 levels at position 100"),
