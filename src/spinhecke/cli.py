@@ -19,7 +19,6 @@ from . import algebras
 from . import clifford_family as cf
 from . import dunkl as dk
 from . import morphisms as mo
-from . import spin_family as sf
 from .engine import AlgebraError, verify_relations
 from .exprparse import ParseError, parse_expression, parse_scalar
 from .render import element_json, element_str
@@ -165,12 +164,8 @@ def _cmd_center_check(args) -> int:
 
 def _cmd_embedding_check(args) -> int:
     alpha = parse_scalar(args.alpha)
-    family = args.algebra.lower()
-    if family == "sdaha":
-        report = sf.spin_affine_embedding_check(alpha, args.n)
-    else:
-        report = cf.affine_embedding_check(alpha, args.n)
-    return _finish_report(args, "embedding-check", family, args.n, report)
+    report = cf.affine_embedding_check(alpha, algebras.by_name(args.algebra, args.n))
+    return _finish_report(args, "embedding-check", args.algebra, args.n, report)
 
 
 def _cmd_cocycle_table(args) -> int:
@@ -234,9 +229,8 @@ def _cmd_map(args) -> int:
 
 # -- argument plumbing --------------------------------------------------------
 
-def _add_common(p, algebra=True, expr=False):
-    if algebra:
-        p.add_argument("--algebra", required=True, help="one of " + ", ".join(algebras.ALGEBRA_NAMES))
+def _add_common(p, expr=False):
+    p.add_argument("--algebra", required=True, help="one of " + ", ".join(algebras.ALGEBRA_NAMES))
     p.add_argument("--n", type=int, required=True, help="rank")
     p.add_argument("--u", default=None, help="specialize u (e.g. 0, 1, 1/2); default symbolic")
     if expr:

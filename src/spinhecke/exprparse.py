@@ -13,8 +13,10 @@ the right, which is the same product)::
 
 Generators: ``x1 y2 c3 s1 t2 xi1 a1 b2`` and the call forms
 ``e(1) einv(2) epsv(1) zeta(1) M(2) Ms(2) z(1) fz(1) phi(1) psi(1)
-s(1,3) tr(1,3)``.  Two-digit ``s13`` abbreviates the transposition
-``s(1,3)``.  ``[A,B]`` is the commutator, ``{A,B}`` the anticommutator.
+s(1,3) tr(1,3)``; ``M``/``Ms`` and ``z``/``fz`` are two spellings of the
+Jucys-Murphy element and of z_i in the algebra's own tower.  Two-digit
+``s13`` abbreviates the transposition ``s(1,3)``.  ``[A,B]`` is the
+commutator, ``{A,B}`` the anticommutator.
 Brackets nest at most ``MAX_NESTING`` = 100 levels deep; the parentheses of
 a call form do not count.
 """
@@ -53,11 +55,11 @@ _CALLS = {
     "s": (2, "sij"),
     "tr": (2, "oddtr"),
     "M": (1, ("clifford_family", "jucys_murphy")),
+    "Ms": (1, ("clifford_family", "jucys_murphy")),
     "z": (1, ("clifford_family", "z_element")),
+    "fz": (1, ("clifford_family", "z_element")),
     "phi": (1, ("clifford_family", "intertwiner_phi")),
-    "Ms": (1, ("spin_family", "odd_jm")),
-    "fz": (1, ("spin_family", "frak_z")),
-    "psi": (1, ("spin_family", "intertwiner_psi")),
+    "psi": (1, ("clifford_family", "intertwiner_psi")),
 }
 _GEN_PREFIXES = ("xi", "x", "y", "c", "s", "t", "a", "b", "zeta", "epsv")
 

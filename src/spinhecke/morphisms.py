@@ -33,7 +33,7 @@ from .engine import (
 )
 from .render import element_str
 from .reports import Report
-from .scalars import ONE, Scalar, W, add_term
+from .scalars import ONE, W, add_term
 
 __all__ = [
     "TensorSignature",
@@ -44,7 +44,6 @@ __all__ = [
     "apply_morphism",
     "check_homomorphism",
     "check_inverse_pair",
-    "check_distinguished_images",
     "compatibility_square",
     "named_morphism",
     "inverse_pairs",
@@ -466,59 +465,6 @@ def lift_tensor(m: Morphism) -> Morphism:
     for tok, img in m.images.items():
         images[tok] = embed_inner(tgt, img)
     return Morphism(f"1x{m.name}", src, tgt, images)
-
-
-def check_distinguished_images(n: int) -> Report:
-    """The image formulas for the intertwiners, the Jucys-Murphy elements,
-    the embedded affine generators, and the odd transpositions."""
-    from . import clifford_family as cf
-    from . import spin_family as sf
-
-    report = Report(f"distinguished[n={n}]")
-    phi_hat = named_morphism("PhiHat", n)
-    tgt_hat = phi_hat.target
-    for i in range(1, n):
-        lhs = apply_morphism(phi_hat, cf.intertwiner_phi(i, phi_hat.source))
-        psi = embed_inner(tgt_hat, sf.intertwiner_psi(i, tgt_hat.inner))
-        cterm = generator_element(tgt_hat, ("c", i)) - generator_element(tgt_hat, ("c", i + 1))
-        rhs = (cterm * psi).scale(-W)
-        ok = lhs == rhs
-        report.add(f"PhiHat(phi{i})", ok, None if ok else element_str(lhs - rhs))
-    phi = named_morphism("Phi", n)
-    tgt = phi.target
-    for i in range(1, n + 1):
-        lhs = apply_morphism(phi, cf.jucys_murphy(i, phi.source))
-        rhs = (
-            generator_element(tgt, ("c", i)) * embed_inner(tgt, sf.odd_jm(i, tgt.inner))
-        ).scale(W)
-        ok = lhs == rhs
-        report.add(f"Phi(M{i})", ok, None if ok else element_str(lhs - rhs))
-    for alpha in (Scalar.from_rational(0), ONE, Scalar.u_power(1)):
-        for i in range(1, n + 1):
-            src_elt = generator_element(phi.source, ("x", i)).scale(alpha) + cf.z_element(
-                i, phi.source
-            )
-            lhs = apply_morphism(phi, src_elt)
-            inner = generator_element(tgt.inner, ("xi", i)).scale(alpha) + sf.frak_z(
-                i, tgt.inner
-            )
-            rhs = (generator_element(tgt, ("c", i)) * embed_inner(tgt, inner)).scale(W)
-            ok = lhs == rhs
-            report.add(
-                f"Phi(a*x{i}+z{i})[alpha={alpha.render()}]",
-                ok,
-                None if ok else element_str(lhs - rhs),
-            )
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if i == k:
-                continue
-            src_elt = element_from_terms(phi.source, _cw_pair(i, k, ("sij", i, k)))
-            lhs = apply_morphism(phi, src_elt)
-            rhs = embed_inner(tgt, sf.odd_transposition(k, i, tgt.inner))
-            ok = lhs == rhs
-            report.add(f"Phi(tr[{k},{i}])", ok, None if ok else element_str(lhs - rhs))
-    return report
 
 
 def compatibility_square(n: int) -> Report:

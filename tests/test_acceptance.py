@@ -12,7 +12,6 @@ from spinhecke import algebras as alg
 from spinhecke import clifford_family as cf
 from spinhecke import dunkl as dk
 from spinhecke import morphisms as mo
-from spinhecke import spin_family as sf
 from spinhecke.engine import (
     Element,
     bracket,
@@ -94,9 +93,9 @@ def test_criterion_04_affine_embeddings():
     ok = True
     for alpha in ALPHAS:
         for n in (2, 3):
-            if not cf.affine_embedding_check(alpha, n).ok:
+            if not cf.affine_embedding_check(alpha, alg.dahca(n)).ok:
                 ok = False
-            if not sf.spin_affine_embedding_check(alpha, n).ok:
+            if not cf.affine_embedding_check(alpha, alg.sdaha(n)).ok:
                 ok = False
     _criterion(4, ok, "a_i -> alpha x_i + z_i and b_i -> alpha xi_i + z_i embeddings, alpha in {0,1,u}, n <= 3", t0)
 
@@ -134,7 +133,7 @@ def test_criterion_05_commuting_families():
                 if not (top * si - si * bot - one_minus_cc[i - 1]).is_zero:
                     ok = False
         ssig = alg.sdaha(n)
-        fz = [sf.frak_z(i, ssig) for i in range(1, n + 1)]
+        fz = [cf.z_element(i, ssig) for i in range(1, n + 1)]
         xis = [generator_element(ssig, ("xi", i)) for i in range(1, n + 1)]
         sone = Element.one(ssig)
         for i in range(n):
@@ -187,7 +186,7 @@ def test_criterion_06_intertwiners():
                     ok = False
         bsig = alg.spin_affine(n)
         bvars = [generator_element(bsig, ("b", i)) for i in range(1, n + 1)]
-        psis = [sf.intertwiner_psi(i, bsig) for i in range(1, n)]
+        psis = [cf.intertwiner_psi(i, bsig) for i in range(1, n)]
         for i in range(1, n):
             sq = bvars[i - 1] ** 2 + bvars[i] ** 2 - (bvars[i - 1] ** 2 - bvars[i] ** 2) ** 2
             if psis[i - 1] * psis[i - 1] != sq:
@@ -205,7 +204,7 @@ def test_criterion_06_intertwiners():
                 if not (psis[i - 1] * bvars[j - 1] + bvars[j - 1] * psis[i - 1]).is_zero:
                     ok = False
     for n in (2, 3):
-        if not mo.check_distinguished_images(n).ok:
+        if not cf.check_distinguished_images(n).ok:
             ok = False
     _criterion(6, ok, "intertwiner closed squares, braid/distance laws (n <= 4), image formulas", t0)
 
@@ -240,20 +239,20 @@ def test_criterion_08_centers():
         for k in (1, 2, 3):
             if not cf.center_check(cf.power_sum_y(k, sig)).ok:
                 ok = False
-            if not cf.center_check(cf.power_sum_x_squared(k, sig)).ok:
+            if not cf.center_check(cf.power_sum_squared(k, sig)).ok:
                 ok = False
-            if not sf.spin_center_check(sf.power_sum_y(k, ssig)).ok:
+            if not cf.center_check(cf.power_sum_y(k, ssig)).ok:
                 ok = False
-            if not sf.spin_center_check(sf.power_sum_xi_squared(k, ssig)).ok:
+            if not cf.center_check(cf.power_sum_squared(k, ssig)).ok:
                 ok = False
     if not cf.center_check(cf.center_example(alg.dahca(2), scaled=True)).ok:
         ok = False
     if not cf.center_check(cf.center_example(alg.dahca(2, QOmega(1)), scaled=False)).ok:
         ok = False
-    if not sf.spin_center_check(sf.spin_center_example(alg.sdaha(2), scaled=True)).ok:
+    if not cf.center_check(cf.spin_center_example(alg.sdaha(2), scaled=True)).ok:
         ok = False
-    if not sf.spin_center_check(
-        sf.spin_center_example(alg.sdaha(2, QOmega(2)), scaled=False)
+    if not cf.center_check(
+        cf.spin_center_example(alg.sdaha(2, QOmega(2)), scaled=False)
     ).ok:
         ok = False
     sig2 = alg.dahca(2)
@@ -286,7 +285,7 @@ def test_criterion_09_rational_trig():
                 ok = False
             z = generator_element(ssig, ("zeta", i))
             es_eta = element_from_terms(ssig, [(ONE, (("E", eta),))])
-            if unit_weight_product(z, eta, ssig) - es_eta * z != sf.spin_trig_commutator(i, eta, ssig):
+            if unit_weight_product(z, eta, ssig) - es_eta * z != cf.trig_commutator(i, eta, ssig):
                 ok = False
     _criterion(9, ok, "j o iota = id, iota o j = id; closed eta-commutator = Leibniz on 200 random weights", t0)
 

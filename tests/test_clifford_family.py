@@ -7,7 +7,6 @@ import pytest
 
 from spinhecke import algebras as alg
 from spinhecke import clifford_family as cf
-from spinhecke import spin_family as sf
 from spinhecke.engine import (
     AlgebraError,
     bracket,
@@ -110,13 +109,13 @@ def test_phi_braid_and_distance():
 def test_affine_embedding_all_alphas():
     for alpha in (Scalar.from_rational(0), ONE, U):
         for n in (2, 3):
-            report = cf.affine_embedding_check(alpha, n)
+            report = cf.affine_embedding_check(alpha, alg.dahca(n))
             assert report.ok, str(report)
 
 
 def test_evaluation_hom():
     for n in (2, 3):
-        report = cf.evaluation_hom_check(n)
+        report = cf.evaluation_hom_check(alg.clifford_sym(n))
         assert report.ok, str(report)
     # the spot checks of the evaluation images
     sig = alg.clifford_sym(3)
@@ -132,7 +131,7 @@ def test_power_sums_central():
         sig = alg.dahca(n)
         for k in (1, 2, 3):
             assert cf.center_check(cf.power_sum_y(k, sig)).ok
-            assert cf.center_check(cf.power_sum_x_squared(k, sig)).ok
+            assert cf.center_check(cf.power_sum_squared(k, sig)).ok
 
 
 def test_product_of_all_y_is_central():
@@ -141,8 +140,8 @@ def test_product_of_all_y_is_central():
     for factory, check in (
         (alg.dahca, cf.center_check),
         (alg.dahca_localized, cf.center_check),
-        (alg.sdaha, sf.spin_center_check),
-        (alg.sdaha_localized, sf.spin_center_check),
+        (alg.sdaha, cf.center_check),
+        (alg.sdaha_localized, cf.center_check),
     ):
         for n in (2, 3, 4):
             sig = factory(n)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from spinhecke import algebras as alg
+from spinhecke import clifford_family as cf
 from spinhecke import morphisms as mo
 from spinhecke.engine import (
     AlgebraError,
@@ -155,7 +156,7 @@ def test_j_minus_examples():
 
 def test_distinguished_images():
     for n in (2, 3):
-        report = mo.check_distinguished_images(n)
+        report = cf.check_distinguished_images(n)
         assert report.ok, str(report)
 
 

@@ -47,11 +47,23 @@ def test_parse_calls():
     assert parse_expression("M(3)", d3) == jucys_murphy(3, d3)
     assert parse_expression("z(2)", d3) == z_element(2, d3)
     s3 = alg.sdaha(3)
-    from spinhecke.spin_family import odd_jm, odd_transposition
+    from spinhecke.clifford_family import odd_transposition
 
-    assert parse_expression("Ms(3)", s3) == odd_jm(3, s3)
+    assert parse_expression("Ms(3)", s3) == jucys_murphy(3, s3)
     assert parse_expression("tr(1,3)", s3) == odd_transposition(1, 3, s3)
     assert parse_expression("s(1,3)", d3) == parse_expression("s13", d3)
+
+
+def test_tower_calls_build_the_algebras_own_element():
+    # M/Ms and z/fz are two spellings of the element of the algebra's tower
+    from spinhecke.clifford_family import jucys_murphy, z_element
+
+    for sig in (alg.dahca(3), alg.sdaha(3)):
+        for i in (1, 2, 3):
+            for names, build in ((("M", "Ms"), jucys_murphy), (("z", "fz"), z_element)):
+                for name in names:
+                    assert parse_expression(f"{name}({i})", sig) == build(i, sig), (sig.name, name)
+    assert _run(["normalize", "--algebra", "sdaha", "--n", "3", "--expr", "M(2)"]) == (0, "t1\n")
 
 
 def test_parse_errors():
@@ -260,6 +272,9 @@ def test_cli_usage_errors_exit_two(capsys):
         ["cocycle-table", "--n", "1"],
         ["cocycle-table", "--n", "7"],
         ["verify-modules", "--algebra", "sdaha", "--n", "7", "--degree-bound", "2"],
+        # the intertwiners keep one tower each
+        ["normalize", "--algebra", "spinaffine", "--n", "2", "--expr", "phi(1)"],
+        ["normalize", "--algebra", "affinehc", "--n", "2", "--expr", "psi(1)"],
     ):
         assert main(argv) == 2, argv
     for argv, message in (
@@ -312,6 +327,8 @@ def test_cli_usage_errors_exit_two(capsys):
          "Phi maps a monomial of 99999999999 letters; the limit is 10000"),
         (["map", "--name", "Psi", "--n", "2", "--expr", "(c1*xi1)^-1"],
          "monomial is not invertible in this algebra"),
+        (["normalize", "--algebra", "sdaha", "--n", "2", "--u", "0", "--expr", "fz(1)"],
+         "fz(1) at position 0: z_i needs u symbolic or specialized to a nonzero value"),
     ):
         capsys.readouterr()
         assert main(argv) == 2, argv

@@ -186,7 +186,7 @@ def test_odd_transposition_values():
 
 def test_odd_transposition_squares_to_one():
     s4 = alg.spin_sym(4)
-    from spinhecke.spin_family import odd_transposition
+    from spinhecke.clifford_family import odd_transposition
 
     for i in range(1, 5):
         for j in range(1, 5):
@@ -199,7 +199,7 @@ def test_odd_transposition_squares_to_one():
 
 def test_odd_transposition_conjugation():
     # t_i [i,j] t_i = -[i+1, j] for j != i, i+1
-    from spinhecke.spin_family import odd_transposition
+    from spinhecke.clifford_family import odd_transposition
 
     s4 = alg.spin_sym(4)
     for i in range(1, 4):
